@@ -113,6 +113,8 @@ class PauliSum:
     def __init__(self, terms: Optional[Mapping[str, float]] = None, num_qubits: Optional[int] = None):
         self._terms: Dict[PauliString, float] = {}
         self._num_qubits = num_qubits
+        #: Read-only dense matrix, built on first use and dropped by add_term.
+        self._matrix: Optional[np.ndarray] = None
         if terms:
             for label, coeff in terms.items():
                 self.add_term(label, coeff)
@@ -133,6 +135,7 @@ class PauliSum:
             self._terms.pop(pauli, None)
         else:
             self._terms[pauli] = new
+        self._matrix = None
         return self
 
     @classmethod
@@ -196,18 +199,29 @@ class PauliSum:
         return self * -1.0
 
     # -- dense linear algebra ----------------------------------------------
+    def _dense(self) -> np.ndarray:
+        """The dense matrix, built once per set of terms (read-only, shared)."""
+        if self._matrix is None:
+            dim = 2 ** self._num_qubits
+            matrix = np.zeros((dim, dim), dtype=complex)
+            for pauli, coeff in self._terms.items():
+                matrix += coeff * pauli.to_matrix()
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
+
     def to_matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix of the observable."""
-        dim = 2 ** self._num_qubits
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for pauli, coeff in self._terms.items():
-            matrix += coeff * pauli.to_matrix()
-        return matrix
+        """Dense Hermitian matrix of the observable (a copy the caller owns)."""
+        return self._dense().copy()
+
+    def __getstate__(self):
+        # Pickled observables (e.g. shipped to process-tier workers) leave the
+        # 16 * 4**n-byte matrix behind; it is rebuilt on first use.
+        return {**self.__dict__, "_matrix": None}
 
     def ground_state(self) -> Tuple[float, np.ndarray]:
         """Exact lowest eigenvalue and eigenvector via dense diagonalisation."""
-        matrix = self.to_matrix()
-        eigvals, eigvecs = np.linalg.eigh(matrix)
+        eigvals, eigvecs = np.linalg.eigh(self._dense())
         return float(eigvals[0]), eigvecs[:, 0]
 
     def ground_energy(self) -> float:
@@ -219,14 +233,14 @@ class PauliSum:
         vec = np.asarray(statevector, dtype=complex).reshape(-1)
         if vec.size != 2 ** self._num_qubits:
             raise VQEError("statevector dimension does not match the observable width")
-        return float(np.real(np.vdot(vec, self.to_matrix() @ vec)))
+        return float(np.real(np.vdot(vec, self._dense() @ vec)))
 
     def expectation_from_density_matrix(self, rho: np.ndarray) -> float:
         """Exact ``Tr[H rho]`` for a (possibly mixed) state."""
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (2 ** self._num_qubits,) * 2:
             raise VQEError("density matrix dimension does not match the observable width")
-        return float(np.real(np.trace(self.to_matrix() @ rho)))
+        return float(np.real(np.trace(self._dense() @ rho)))
 
     # -- measurement grouping -----------------------------------------------
     def group_commuting(self) -> List["MeasurementGroup"]:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SimulationError
+from .contraction import ContractionPlan, qubit_plan
 
 
 class DensityMatrix:
@@ -68,56 +69,33 @@ class DensityMatrix:
         return bool(eigvals.min() > -atol)
 
     # -- index helpers -----------------------------------------------------------
-    def _contract(self, data: np.ndarray, matrix: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-        """Contract ``matrix`` (a k-qubit operator) into the given tensor axes.
-
-        ``data`` is the density matrix viewed as a rank-2n tensor (row axes
-        0..n-1, column axes n..2n-1); ``axes`` names the tensor axes the
-        operator's input indices act on.  The operator's output indices are
-        moved back into the same positions, so repeated contractions compose
-        like ordinary matrix products.
-        """
+    def _plan(self, qubits: Sequence[int], offsets: Tuple[int, ...]) -> ContractionPlan:
+        """Plan on the rank-2n density tensor: offset 0 targets rows, n columns."""
         n = self.num_qubits
-        k = len(axes)
-        tensor = data.reshape([2] * (2 * n))
-        op = matrix.reshape([2] * (2 * k))
-        out = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), list(axes)))
-        # tensordot puts the operator's output indices first; move every axis
-        # back to its canonical position.
-        remaining = [axis for axis in range(2 * n) if axis not in axes]
-        position = {}
-        for index, axis in enumerate(axes):
-            position[axis] = index
-        for index, axis in enumerate(remaining):
-            position[axis] = k + index
-        out = np.transpose(out, [position[axis] for axis in range(2 * n)])
-        return out.reshape(2 ** n, 2 ** n)
+        return qubit_plan((2,) * (2 * n), tuple(qubits), n, offsets)
 
     def _check_operator(self, matrix: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=complex)
-        k = len(qubits)
-        if matrix.shape != (2 ** k, 2 ** k):
+        if matrix.shape != (2 ** len(qubits),) * 2:
             raise SimulationError("operator dimension does not match the number of target qubits")
-        if len(set(qubits)) != k or any(not 0 <= q < self.num_qubits for q in qubits):
-            raise SimulationError(f"invalid target qubits {tuple(qubits)}")
         return matrix
 
     # -- evolution ----------------------------------------------------------------
     def apply_unitary(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
         """Apply a unitary acting on ``qubits``: rho -> U rho U^dagger."""
         matrix = self._check_operator(matrix, qubits)
-        n = self.num_qubits
-        data = self._contract(self.data, matrix, list(qubits))
-        self.data = self._contract(data, matrix.conj(), [n + q for q in qubits])
+        rows = self._plan(qubits, (0,))
+        columns = self._plan(qubits, (self.num_qubits,))
+        self.data = columns.apply(matrix.conj(), rows.apply(matrix, self.data))
 
     def apply_kraus(self, kraus: Iterable[np.ndarray], qubits: Sequence[int]) -> None:
         """Apply a Kraus channel acting on ``qubits``."""
-        n = self.num_qubits
+        rows = self._plan(qubits, (0,))
+        columns = self._plan(qubits, (self.num_qubits,))
         new = np.zeros_like(self.data)
         for k in kraus:
             matrix = self._check_operator(k, qubits)
-            term = self._contract(self.data, matrix, list(qubits))
-            new += self._contract(term, matrix.conj(), [n + q for q in qubits])
+            new += columns.apply(matrix.conj(), rows.apply(matrix, self.data))
         self.data = new
 
     def apply_superop(self, superop: np.ndarray, qubits: Sequence[int]) -> None:
@@ -133,11 +111,7 @@ class DensityMatrix:
         k = len(qubits)
         if superop.shape != (4 ** k, 4 ** k):
             raise SimulationError("superoperator dimension does not match the target qubits")
-        if len(set(qubits)) != k or any(not 0 <= q < self.num_qubits for q in qubits):
-            raise SimulationError(f"invalid target qubits {tuple(qubits)}")
-        n = self.num_qubits
-        axes = list(qubits) + [n + q for q in qubits]
-        self.data = self._contract(self.data, superop, axes)
+        self.data = self._plan(qubits, (0, self.num_qubits)).apply(superop, self.data)
 
     # -- measurement -----------------------------------------------------------------
     def probabilities(self) -> np.ndarray:

@@ -188,12 +188,7 @@ class NoiseModel:
         props = self.device.qubits[qubit]
         ops: List[ChannelOp] = []
         if self.include_relaxation:
-            ops.append(
-                ChannelOp(
-                    channels.thermal_relaxation_kraus(duration, props.t1_ns, props.t2_ns),
-                    (qubit,),
-                )
-            )
+            ops.append(self._relaxation(qubit, duration))
         if self.include_coherent_errors:
             phase = props.integrated_detuning(
                 start_ns + self.time_offset_ns, end_ns + self.time_offset_ns
@@ -223,13 +218,7 @@ class NoiseModel:
         duration = self.device.gate_duration(name, qubits)
         if self.include_relaxation and duration > 0:
             for q in qubits:
-                props = self.device.qubits[q]
-                ops.append(
-                    ChannelOp(
-                        channels.thermal_relaxation_kraus(duration, props.t1_ns, props.t2_ns),
-                        (q,),
-                    )
-                )
+                ops.append(self._relaxation(q, duration))
         if self.include_gate_error:
             error = self.device.gate_error(name, qubits)
             if error > 0:
@@ -256,14 +245,18 @@ class NoiseModel:
     def _build_measurement_prelude(self, qubit: int) -> List[ChannelOp]:
         if not self.include_relaxation:
             return []
-        props = self.device.qubits[qubit]
-        duration = self.device.readout_duration_ns
-        return [
-            ChannelOp(
-                channels.thermal_relaxation_kraus(duration, props.t1_ns, props.t2_ns),
-                (qubit,),
-            )
-        ]
+        return [self._relaxation(qubit, self.device.readout_duration_ns)]
+
+    def _relaxation(self, qubit: int, duration: float) -> ChannelOp:
+        """T1/T2 relaxation over ``duration``, memoised per (qubit, duration,
+        flags): idle channels are keyed by absolute time, this part is not."""
+
+        def build() -> List[ChannelOp]:
+            props = self.device.qubits[qubit]
+            kraus = channels.thermal_relaxation_kraus(duration, props.t1_ns, props.t2_ns)
+            return [ChannelOp(kraus, (qubit,))]
+
+        return self._cached_channels(("relax", qubit, duration, self._flag_key()), build)[0]
 
     def __repr__(self):
         flavour = "device" if self.include_coherent_errors else (

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SimulationError
+from .contraction import qubit_plan
 from .density_matrix import DensityMatrix
 from .noise_model import ChannelOp, NoiseModel
 from .noisy_simulator import (
@@ -311,26 +312,10 @@ class PauliVectorState:
         k = len(positions)
         if ptm.shape != (4 ** k, 4 ** k):
             raise SimulationError("PTM dimension does not match the target qubits")
-        if len(set(positions)) != k or any(
-            not 0 <= q < self.num_qubits for q in positions
-        ):
-            raise SimulationError(f"invalid target qubits {tuple(positions)}")
         n = self.num_qubits
-        rows = self.data.shape[0]
-        tensor = self.data.reshape((rows,) + (4,) * n)
-        op = ptm.reshape((4,) * (2 * k))
-        axes = [p + 1 for p in positions]
-        out = np.tensordot(op, tensor, axes=(list(range(k, 2 * k)), axes))
-        # tensordot puts the operator's output indices first; move every axis
-        # back to its canonical position (mirrors DensityMatrix._contract).
-        remaining = [axis for axis in range(n + 1) if axis not in axes]
-        position = {}
-        for index, axis in enumerate(axes):
-            position[axis] = index
-        for index, axis in enumerate(remaining):
-            position[axis] = k + index
-        out = np.transpose(out, [position[axis] for axis in range(n + 1)])
-        self.data = np.ascontiguousarray(out.reshape(rows, 4 ** n))
+        # Axis 0 is the batch; qubit q's Pauli axis is q + 1.
+        plan = qubit_plan(self.data.shape[:1] + (4,) * n, tuple(positions), n, (1,))
+        self.data = np.ascontiguousarray(plan.apply(ptm, self.data))
 
     def apply_unitary(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
         """Apply a unitary gate (compiled to a PTM via the content LRU)."""

@@ -18,31 +18,8 @@ import numpy as np
 from ..circuits.circuit import QuantumCircuit
 from ..exceptions import SimulationError
 from ..operators.pauli import PauliSum
+from .contraction import qubit_plan
 from .readout import probabilities_to_counts
-
-
-def _apply_single_qubit(state: np.ndarray, matrix: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Apply a 2x2 unitary to ``qubit`` of a big-endian statevector."""
-    tensor = state.reshape([2] * num_qubits)
-    tensor = np.moveaxis(tensor, qubit, 0)
-    shape = tensor.shape
-    tensor = matrix @ tensor.reshape(2, -1)
-    tensor = tensor.reshape(shape)
-    tensor = np.moveaxis(tensor, 0, qubit)
-    return tensor.reshape(-1)
-
-
-def _apply_two_qubit(
-    state: np.ndarray, matrix: np.ndarray, qubit_a: int, qubit_b: int, num_qubits: int
-) -> np.ndarray:
-    """Apply a 4x4 unitary to ``(qubit_a, qubit_b)`` of a big-endian statevector."""
-    tensor = state.reshape([2] * num_qubits)
-    tensor = np.moveaxis(tensor, (qubit_a, qubit_b), (0, 1))
-    shape = tensor.shape
-    tensor = matrix @ tensor.reshape(4, -1)
-    tensor = tensor.reshape(shape)
-    tensor = np.moveaxis(tensor, (0, 1), (qubit_a, qubit_b))
-    return tensor.reshape(-1)
 
 
 def measured_distribution_from_probabilities(
@@ -85,12 +62,9 @@ class StatevectorSimulator:
             if name in ("barrier", "delay", "id", "measure"):
                 continue
             matrix = inst.gate.matrix()
-            if len(inst.qubits) == 1:
-                state = _apply_single_qubit(state, matrix, inst.qubits[0], num_qubits)
-            elif len(inst.qubits) == 2:
-                state = _apply_two_qubit(state, matrix, inst.qubits[0], inst.qubits[1], num_qubits)
-            else:
+            if len(inst.qubits) > 2:
                 raise SimulationError(f"unsupported gate arity for '{name}'")
+            state = qubit_plan((2,) * num_qubits, tuple(inst.qubits), num_qubits).apply(matrix, state)
         return state
 
     # -- measurement --------------------------------------------------------

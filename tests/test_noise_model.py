@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulators import NoiseModel, is_valid_channel
+from repro.simulators import NoiseModel, is_valid_channel, thermal_relaxation_kraus
 
 
 class TestFlavours:
@@ -58,6 +58,36 @@ class TestIdleChannels:
         phase_a = [op for op in base.idle_channels(0, 0.0, 2000.0) if len(op.kraus) == 1]
         phase_b = [op for op in shifted.idle_channels(0, 0.0, 2000.0) if len(op.kraus) == 1]
         assert not np.allclose(phase_a[0].kraus[0], phase_b[0].kraus[0])
+
+
+class TestRelaxationMemo:
+    """Idle channels are keyed by absolute time; their relaxation part is
+    built once per (qubit, duration, flags)."""
+
+    def test_equal_durations_share_one_channel(self, device):
+        model = NoiseModel.from_calibration(device)
+        first = model.idle_channels(0, 0.0, 500.0)
+        second = model.idle_channels(0, 1200.0, 1700.0)
+        assert first is not second
+        assert first[0] is second[0]
+        assert first[0].superop is second[0].superop
+        props = device.qubits[0]
+        expected = thermal_relaxation_kraus(500.0, props.t1_ns, props.t2_ns)
+        assert len(first[0].kraus) == len(expected)
+        for got, want in zip(first[0].kraus, expected):
+            assert np.array_equal(got, want)
+        assert model.idle_channels(0, 0.0, 600.0)[0] is not first[0]
+        assert model.idle_channels(1, 0.0, 500.0)[0] is not first[0]
+
+    def test_invalidation_and_flag_toggle_miss(self, device):
+        model = NoiseModel.from_calibration(device)
+        before = model.idle_channels(0, 0.0, 500.0)[0]
+        model.invalidate_channel_cache()
+        after = model.idle_channels(0, 100.0, 600.0)[0]
+        assert after is not before
+        assert model.idle_channels(0, 200.0, 700.0)[0] is after
+        model.include_coherent_errors = True
+        assert model.idle_channels(0, 300.0, 800.0)[0] is not after
 
 
 class TestGateChannels:

@@ -155,6 +155,48 @@ class TestPauliSum:
             assert ham.expectation_from_statevector(vec) >= ground - 1e-9
 
 
+class TestDenseMatrixMemo:
+    """``PauliSum`` builds its dense matrix once per set of terms."""
+
+    def test_memo_is_the_matrix_a_fresh_build_gives(self, tfim4):
+        expected = np.zeros((16, 16), dtype=complex)
+        for pauli, coeff in tfim4._terms.items():
+            expected += coeff * pauli.to_matrix()
+        assert np.array_equal(tfim4.to_matrix(), expected)
+        assert np.array_equal(tfim4.to_matrix(), expected)
+
+    def test_to_matrix_returns_a_private_copy(self):
+        ham = PauliSum({"ZI": 1.0, "XX": 0.5, "IY": -0.25})
+        state = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
+        energy = ham.expectation_from_statevector(state)
+        ground = ham.ground_energy()
+        first = ham.to_matrix()
+        assert first is not ham.to_matrix()
+        first[:] = 0.0
+        assert ham.expectation_from_statevector(state) == energy
+        assert ham.ground_energy() == ground
+        assert ham.expectation_from_density_matrix(np.outer(state, state.conj())) == pytest.approx(energy)
+
+    def test_add_term_drops_the_memo(self):
+        ham = PauliSum({"Z": 1.0})
+        assert ham.expectation_from_statevector([1, 0]) == 1.0
+        ham.add_term("Z", 1.0)
+        assert ham.expectation_from_statevector([1, 0]) == 2.0
+        ham.add_term("X", 0.5)
+        assert np.array_equal(ham.to_matrix(), PauliSum({"Z": 2.0, "X": 0.5}).to_matrix())
+        assert ham.ground_energy() == PauliSum({"Z": 2.0, "X": 0.5}).ground_energy()
+
+    def test_pickling_leaves_the_memo_behind(self):
+        import pickle
+
+        used = PauliSum({"ZZZZ": 1.0, "XIII": 0.5})
+        unused = PauliSum({"ZZZZ": 1.0, "XIII": 0.5})
+        used.ground_energy()
+        blob = pickle.dumps(used)
+        assert len(blob) == len(pickle.dumps(unused)) < 16 * 4 ** 4
+        assert np.array_equal(pickle.loads(blob).to_matrix(), used.to_matrix())
+
+
 class TestMeasurementGrouping:
     def test_tfim_groups_into_two_bases(self, tfim4):
         groups = tfim4.group_commuting()
