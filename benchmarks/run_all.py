@@ -81,19 +81,14 @@ _PARALLEL_WORKERS = 4
 def _h2_tuner_comparison():
     """Time the H2 window-tuner sweep across every execution tier.
 
-    Six legs tune from the same compiled schedule: the legacy *sequential*
+    Five legs tune from the same compiled schedule: the legacy *sequential*
     path (no cache, no prefix or segment reuse — what the pre-engine code
-    did), the
-    batched engine path in its *serial*, *thread* and *process* tiers, the
-    *pipelined* leg — asynchronous submission over the process tier, where
-    the tuner builds window N+1's candidates while window N's execute
-    (``docs/async.md``) — and the *serial_exact* leg, which disables the
-    commutation-aware canonical keying (``docs/architecture.md``) to isolate
-    what canonicalisation is worth.  With ``shots=None`` the tuned energies
-    of the five canonical legs must agree bit for bit (the engine acceptance
-    criterion); only wall-clock may differ.  The exact-keying leg processes a
-    mathematically equivalent but differently-ordered operator sequence, so
-    its energy agrees to float tolerance and the delta is recorded.
+    did), the batched engine path in its *serial*, *thread* and *process*
+    tiers, and the *pipelined* leg — asynchronous submission over the
+    process tier, where the tuner builds window N+1's candidates while
+    window N's execute (``docs/async.md``).  With ``shots=None`` the tuned
+    energies of all five legs must agree bit for bit (the engine acceptance
+    criterion); only wall-clock may differ.
     """
     from repro.engine import NoisyDensityMatrixEngine
     from repro.simulators import NoiseModel
@@ -116,17 +111,12 @@ def _h2_tuner_comparison():
         # inherit the first leg's warmed channel cache and bias the speedups.
         batched = leg != "sequential"
         pipelined = leg == "pipelined"
-        exact_keying = leg == "serial_exact"
-        tier = "process" if pipelined else ("serial" if exact_keying else leg)
+        tier = "process" if pipelined else leg
         noise_model = NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(
             noise_model,
             seed=11,
             enable_prefix_reuse=batched,
-            # The serial_exact leg keys and processes the plain time-sorted
-            # order (pre-canonicalisation behaviour), isolating what the
-            # commutation-aware canonical keying is worth.
-            enable_canonicalisation=not exact_keying,
             # The sequential leg re-simulates every evaluation, like the
             # pre-engine code did — segment replay included, so it stays a
             # true no-reuse baseline.
@@ -182,7 +172,6 @@ def _h2_tuner_comparison():
     thread_s, thread, _ = tune("thread")
     process_s, process, _ = tune("process")
     pipelined_s, pipelined, _ = tune("pipelined")
-    exact_s, exact, exact_engine = tune("serial_exact")
     energies = {
         "sequential": sequential.tuned_value,
         "serial": serial.tuned_value,
@@ -199,14 +188,9 @@ def _h2_tuner_comparison():
         "energies_exact_match": len(set(energies.values())) == 1,
         "num_evaluations": serial.num_evaluations,
         "engine_stats": engine.stats.as_dict(),
-        # The headline prefix-reuse number (tracked by
-        # tests/test_reuse_regression.py) plus the same sweep keyed on the
-        # plain time-sorted order, isolating the canonicalisation win.  The
-        # two orderings are mathematically equivalent operator sequences, so
-        # their energies agree to float tolerance but not bit for bit; the
-        # recorded delta keeps that honest.
+        # The headline reuse number (tracked by tests/test_reuse_regression.py).
         "reuse_fraction": engine.stats.reuse_fraction,
-        # Segment-cache replay counters for the serial canonical leg
+        # Segment-cache replay counters for the serial leg
         # (docs/segment_reuse.md): hits are whole checkpoint-aligned segments
         # served from the content-keyed operator cache instead of re-walking
         # their instructions.
@@ -214,14 +198,6 @@ def _h2_tuner_comparison():
             "hits": engine.stats.segment_hits,
             "misses": engine.stats.segment_misses,
             "hit_rate": engine.stats.segment_hit_rate,
-        },
-        "canonicalisation": {
-            "reuse_fraction": engine.stats.reuse_fraction,
-            "exact_keying_reuse_fraction": exact_engine.stats.reuse_fraction,
-            "exact_keying_seconds": exact_s,
-            "canonical_vs_exact_energy_delta": abs(
-                serial.tuned_value - exact.tuned_value
-            ),
         },
         "parallelism": {
             "workers": _PARALLEL_WORKERS,
@@ -369,16 +345,13 @@ def _concurrent_frontends_leg():
 
 
 def _randomized_reuse_leg():
-    """Canonical vs exact keying on the shared randomized schedule families.
+    """Engine reuse on the shared randomized schedule families.
 
     Inputs come from ``tests/randomized.py`` — the same seeded generator the
     fuzz suites run — so this leg benchmarks exactly the cases the
-    differential tests prove correct.  Each family is a base schedule, its
-    sweep-style DD/GS variants and one benign permutation of the base (same
-    content, reassembled instruction list).  Canonical keying deduplicates
-    the permutation outright (a result-cache hit) and shares longer
-    checkpoint prefixes inside each family; the exact-keying pass quantifies
-    both effects on the same inputs.
+    differential tests prove correct.  Each family is a base schedule and
+    its sweep-style DD/GS variants, which share checkpoint prefixes and
+    segments with the base.
     """
     import randomized
     from repro.engine import NoisyDensityMatrixEngine
@@ -389,38 +362,24 @@ def _randomized_reuse_leg():
     families = []
     for seed in seeds:
         compiled = randomized.random_compiled(seed, device=device)
-        family = randomized.schedule_family(compiled, seed)
-        family.append(randomized.benign_permutation(family[0], seed))
-        families.append(family)
-    num_schedules = sum(len(family) for family in families)
+        families.append(randomized.schedule_family(compiled, seed))
 
-    def run(enable_canonicalisation):
-        noise_model = NoiseModel.from_device(device)
-        engine = NoisyDensityMatrixEngine(
-            noise_model, seed=5, enable_canonicalisation=enable_canonicalisation
-        )
-        start = time.perf_counter()
-        for family in families:
-            for scheduled in family:
-                engine.run(scheduled)
-        elapsed = time.perf_counter() - start
-        stats = engine.stats.as_dict()
-        engine.close()
-        return elapsed, stats
-
-    canonical_seconds, canonical_stats = run(True)
-    exact_seconds, exact_stats = run(False)
+    engine = NoisyDensityMatrixEngine(NoiseModel.from_device(device), seed=5)
+    start = time.perf_counter()
+    for family in families:
+        for scheduled in family:
+            engine.run(scheduled)
+    elapsed = time.perf_counter() - start
+    stats = engine.stats.as_dict()
+    engine.close()
     return {
         "seeds": seeds,
         "num_families": len(families),
-        "num_schedules": num_schedules,
-        "canonical_seconds": canonical_seconds,
-        "exact_seconds": exact_seconds,
-        "speedup": exact_seconds / canonical_seconds if canonical_seconds else float("inf"),
-        "canonical_reuse_fraction": canonical_stats["reuse_fraction"],
-        "exact_reuse_fraction": exact_stats["reuse_fraction"],
-        "canonical_cache_hits": canonical_stats["cache_hits"],
-        "exact_cache_hits": exact_stats["cache_hits"],
+        "num_schedules": sum(len(family) for family in families),
+        "seconds": elapsed,
+        "reuse_fraction": stats["reuse_fraction"],
+        "cache_hits": stats["cache_hits"],
+        "prefix_resumes": stats["prefix_resumes"],
     }
 
 
@@ -663,7 +622,7 @@ def _ingestion_leg():
 def _segment_reuse_leg():
     """A/B the segment-level operator cache on the H2 window-tuner sweep.
 
-    Both legs run the serial tier with canonical keying and prefix reuse on;
+    Both legs run the serial tier with prefix reuse on;
     only ``enable_segment_reuse`` differs.  Replaying a cached segment applies
     the identical operator arrays in the identical order as re-walking its
     instructions, so the tuned energies must agree *bit for bit* — the delta
@@ -713,8 +672,8 @@ def _segment_reuse_leg():
 
     # Randomized segment families (tests/randomized.py:segment_family — the
     # same generator the tests/test_segments.py differential suite fuzzes):
-    # window-divergent variants plus benign permutations, run with the cache
-    # on and off, checking the final probability vectors bit for bit.
+    # window-divergent variants, run with the cache on and off, checking the
+    # final probability vectors bit for bit.
     import randomized
 
     fuzz_device = randomized.fuzz_device()
@@ -1057,13 +1016,6 @@ def main() -> None:
             f"batched {tuner['batched_seconds']:.2f}s "
             f"({tuner['speedup']:.1f}x, exact match: {tuner['energies_exact_match']})"
         )
-        canonicalisation = tuner["canonicalisation"]
-        print(
-            f"[run_all] h2 tuner prefix reuse: canonical "
-            f"{canonicalisation['reuse_fraction']:.3f} vs exact keying "
-            f"{canonicalisation['exact_keying_reuse_fraction']:.3f} "
-            f"(energy delta {canonicalisation['canonical_vs_exact_energy_delta']:.2e})"
-        )
         parallel = tuner["parallelism"]
         print(
             f"[run_all] h2 tuner tiers ({parallel['workers']} workers, "
@@ -1105,11 +1057,9 @@ def main() -> None:
     if randomized_reuse is not None:
         print(
             f"[run_all] randomized reuse ({randomized_reuse['num_schedules']} schedules): "
-            f"canonical {randomized_reuse['canonical_reuse_fraction']:.3f} "
-            f"({randomized_reuse['canonical_cache_hits']} dedup hits) vs exact "
-            f"{randomized_reuse['exact_reuse_fraction']:.3f} "
-            f"({randomized_reuse['exact_cache_hits']} hits), "
-            f"{randomized_reuse['speedup']:.2f}x faster"
+            f"{randomized_reuse['seconds']:.2f}s, reuse "
+            f"{randomized_reuse['reuse_fraction']:.3f}, "
+            f"{randomized_reuse['prefix_resumes']} prefix resumes"
         )
 
     # Segment-cache A/B leg (docs/segment_reuse.md): guarded like the others.

@@ -1,13 +1,7 @@
 """Unified batched execution engines (see :mod:`repro.engine.base`)."""
 
 from .base import EngineResult, EngineStats, ExecutionEngine, ExpectationData
-from .canonical import (
-    canonical_order,
-    canonical_sort_key,
-    commutation_dag,
-    commutes,
-    instruction_footprints,
-)
+from .canonical import canonical_order
 from .density_engine import NoisyDensityMatrixEngine, measure_pauli_sum
 from .fake_device_engine import FakeDeviceEngine
 from .futures import EngineFuture, gather
@@ -42,10 +36,6 @@ __all__ = [
     "BatchScheduler",
     "gather",
     "canonical_order",
-    "canonical_sort_key",
-    "commutation_dag",
-    "commutes",
-    "instruction_footprints",
     "circuit_fingerprint",
     "circuit_hash_chain",
     "schedule_fingerprint",

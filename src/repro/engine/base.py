@@ -50,11 +50,8 @@ Results are cached by *content fingerprint* (see
 circuits are never simulated twice — no matter which frontend submitted them.
 Cache hits return the same numbers the original execution produced, bit for
 bit.  For scheduled circuits the fingerprints, hash chains, prefix
-checkpoints, shard chains and scheduler conflict keys all digest the
-commutation-aware *canonical* processing order
-(:mod:`repro.engine.canonical`, enabled by default) — schedules equal up to
-benign reorderings of provably-commuting instructions share every one of
-those keys, and because execution itself replays the canonical order, a
+checkpoints, shard chains and scheduler conflict keys all digest the order
+the simulator executes (time order, :mod:`repro.engine.canonical`), so a
 shared chain prefix always identifies a bit-identically replayable evolution
 prefix.
 

@@ -1,369 +1,24 @@
-"""Commutation-aware canonicalisation of schedule processing order.
+"""The order every schedule is simulated and keyed in.
 
-The simulator walks a schedule's instructions in *processing order*.  Any
-order consistent with the schedule's timing semantics is mathematically
-valid, but the order is also what the engine's content keys are built from:
-the schedule hash chain (:mod:`repro.engine.fingerprint`) digests the
-processing order instruction by instruction, and every prefix checkpoint,
-result-cache key, shard chain and scheduler conflict key derives from it.
-Two schedules that differ only in a *benign* permutation of their
-instructions — e.g. the same content assembled by different construction
-paths, or commuting same-start gates listed in a different order — used to
-produce different chains and therefore shared nothing.
-
-This module defines a **canonical processing order** that is a pure function
-of schedule *content*: schedules that are equal up to reordering of
-provably-commuting instructions canonicalise to the identical instruction
-sequence, hence identical chains, checkpoints and cache lines.  Because the
-simulator *executes* the canonical order (see
-:meth:`~repro.simulators.noisy_simulator.NoisySimulator.prepare`), a prefix
-checkpoint taken at canonical depth ``k`` of one schedule seeds any other
-schedule with the same canonical ``k``-prefix **bit-identically** — both
-executions process the exact same instruction sequence from the same initial
-state, so resumed evolution cannot diverge even at the ULP level.
-
-Commutation rules
------------------
-Two instructions may swap in processing order only when the simulator's
-per-instruction effects provably commute.  Processing an instruction applies
-(a) idle-noise channels for the gap each of its qubits spent waiting —
-including two-qubit ZZ-crosstalk channels with *coupled neighbour positions*
-that idled alongside — and (b) the gate unitary plus its noise channels on
-the instruction's own qubits.  The rules are therefore footprint-based:
-
-* **Disjoint footprints.**  An instruction's *footprint* is the set of
-  circuit positions its processing touches: its own qubits plus every
-  ZZ-partner position of its idle gaps (a coupled neighbour with a nonzero
-  ZZ rate that idles through at least half of the gap — the exact condition
-  the simulator applies crosstalk under).  Instructions with disjoint
-  footprints act on disjoint state factors, so every channel they apply
-  commutes exactly.
-* **Same-qubit diagonal runs.**  Instructions on the *same* qubits commute
-  when both are diagonal in the computational basis (``rz``, ``z``, ``s``,
-  ``t``, …), both are zero-duration, both start at the same time and neither
-  footprint carries a crosstalk partner: diagonal unitaries commute with
-  each other, zero-duration instructions at one instant leave the idle-gap
-  bookkeeping identical under either order, and with no ZZ partner in play
-  the gap's idle channels are confined to the pair's own qubits, so other
-  instructions interleaved between the two cannot observe the swap.
-
-Everything else keeps its time order: per-qubit instruction sequences are
-never reordered (their idle gaps depend on it), and a ZZ-coupled pair stays
-put (the crosstalk channel does not commute with its partner's gates).
-
-The canonical order itself is the greedy topological linearisation of the
-commutation DAG under a deterministic content key (:func:`canonical_sort_key`):
-time-major, with DD-shaped single-qubit ``x``/``y`` pulses deferred for as
-long as their dependencies allow.  Deferring pulses is what makes window-tuner
-candidate families share long canonical prefixes — every instruction that
-commutes past a candidate's pulses is emitted *before* them, identically
-across all candidates of the sweep — and it is a pure content rule, so the
-order stays a function of the schedule alone.
-
-Determinism notes
------------------
-The canonical order must be identical wherever it is computed (parent
-process, pool workers, different sessions), so it uses only schedule content:
-instruction tokens, timing, the device's coupling map and ZZ rates.  One
-deliberate exception: instructions on the *same* qubit at the *same* start
-time that do not satisfy the diagonal rule are genuinely order-sensitive, and
-their relative order in ``ScheduledCircuit.timed_instructions`` is treated as
-part of the schedule's content (it already determined simulation results
-before canonicalisation existed).
+:meth:`NoisySimulator.prepare <repro.simulators.noisy_simulator.NoisySimulator.prepare>`
+walks a schedule in time order, :meth:`ScheduledCircuit.sorted_instructions`:
+by start time, measurements after same-start gates, and same-start
+instructions in their ``timed_instructions`` order, which is therefore part
+of the schedule's content.  The hash chains, segment keys, shard chains and
+scheduler conflict keys digest the same order, so a shared chain prefix
+always names an evolution prefix the simulator replays bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..transpiler.scheduling import ScheduledCircuit, TimedInstruction
 
-__all__ = [
-    "DIAGONAL_GATES",
-    "canonical_order",
-    "canonical_sort_key",
-    "commutation_dag",
-    "commutes",
-    "instruction_footprints",
-]
-
-#: Gates diagonal in the computational basis: their unitaries commute with
-#: each other, and the noise model attaches no channel to the error-free ones
-#: (``rz``/``p``), which is what makes the same-qubit diagonal rule exact.
-DIAGONAL_GATES = frozenset({"rz", "p", "z", "s", "sdg", "t", "tdg", "id"})
-
-#: Idle gaps at or below this length apply no idle noise (the simulator's own
-#: threshold); they contribute no ZZ partners to a footprint.
-_IDLE_EPSILON = 1e-9
+__all__ = ["canonical_order"]
 
 
-#: The simulator's own busy-interval and idle-overlap arithmetic, resolved
-#: lazily (the simulator imports this module inside ``prepare``) and shared
-#: so the footprint rule can never drift from the idle accounting it must
-#: reproduce bit for bit.
-_SIMULATOR_HELPERS: Optional[Tuple] = None
-
-
-def _simulator_helpers() -> Tuple:
-    global _SIMULATOR_HELPERS
-    if _SIMULATOR_HELPERS is None:
-        from ..simulators.noisy_simulator import NoisySimulator
-
-        _SIMULATOR_HELPERS = (NoisySimulator._busy_intervals, NoisySimulator._idle_overlap)
-    return _SIMULATOR_HELPERS
-
-
-def _busy_intervals(scheduled: "ScheduledCircuit") -> Dict[int, List[Tuple[float, float]]]:
-    """Per-position busy intervals (the simulator's own definition)."""
-    return _simulator_helpers()[0](scheduled)
-
-
-def _coupled_positions(scheduled: "ScheduledCircuit") -> Dict[int, List[int]]:
-    """Coupled neighbour positions with a nonzero ZZ rate, per position."""
-    device = scheduled.device
-    phys_to_pos = {p: i for i, p in enumerate(scheduled.physical_qubits)}
-    coupled: Dict[int, List[int]] = {q: [] for q in range(scheduled.num_qubits)}
-    for position, physical in enumerate(scheduled.physical_qubits):
-        for neighbor in device.neighbors(physical):
-            other = phys_to_pos.get(neighbor)
-            if other is not None and device.zz_rate(physical, neighbor):
-                coupled[position].append(other)
-    return coupled
-
-
-def _idle_overlap(busy: Sequence[Tuple[float, float]], start: float, end: float) -> float:
-    """Length of ``[start, end]`` during which the busy list leaves a qubit
-    idle (the simulator's own arithmetic)."""
-    return _simulator_helpers()[1](busy, start, end)
-
-
-def instruction_footprints(
-    scheduled: "ScheduledCircuit", ordered: Sequence["TimedInstruction"]
-) -> List[FrozenSet[int]]:
-    """The set of circuit positions each instruction's processing touches.
-
-    ``ordered`` must be time-sorted (any stable tie order).  An instruction's
-    footprint is its own qubits plus the ZZ-partner positions of the idle
-    gaps its processing applies — mirroring exactly the condition under which
-    :meth:`NoisySimulator._idle_ops` emits a two-qubit crosstalk channel: a
-    coupled neighbour with a nonzero ZZ rate that idles through at least half
-    of the gap.  Barriers touch every position (they are pure ordering
-    markers and must never be commuted past).
-
-    The footprint is a pure function of schedule content: each qubit's gap
-    before an instruction is delimited by that qubit's *previous* instruction
-    in time order (or its first activity), which no commuting reorder can
-    change.  ZZ partners are computed against the device's full-model
-    coupling regardless of which noise flags are currently enabled —
-    conservative for reduced noise models, which keeps one canonical order
-    per schedule rather than one per flag combination.
-    """
-    busy = _busy_intervals(scheduled)
-    idle_overlap = _simulator_helpers()[1]
-    coupled = _coupled_positions(scheduled)
-    all_positions = frozenset(range(scheduled.num_qubits))
-
-    # Idle tracking starts at each qubit's first activity, as in the simulator.
-    last_time: Dict[int, float] = {}
-    for position in range(scheduled.num_qubits):
-        ops = [t for t in ordered if position in t.qubits and t.name != "barrier"]
-        last_time[position] = min((t.start_ns for t in ops), default=0.0)
-
-    footprints: List[FrozenSet[int]] = []
-    for timed in ordered:
-        if timed.name == "barrier":
-            footprints.append(all_positions)
-            continue
-        touched = set(timed.qubits)
-        for position in timed.qubits:
-            gap_start, gap_end = last_time[position], timed.start_ns
-            gap = gap_end - gap_start
-            if gap > _IDLE_EPSILON:
-                for other in coupled[position]:
-                    if idle_overlap(busy[other], gap_start, gap_end) >= 0.5 * gap:
-                        touched.add(other)
-        for position in timed.qubits:
-            last_time[position] = timed.end_ns
-        footprints.append(frozenset(touched))
-    return footprints
-
-
-def _diagonal_exempt(
-    a: "TimedInstruction",
-    b: "TimedInstruction",
-    footprint_a: FrozenSet[int],
-    footprint_b: FrozenSet[int],
-) -> bool:
-    """Whether the same-qubit diagonal rule lets ``a`` and ``b`` swap.
-
-    The footprint conditions demand crosstalk-free gaps: whichever member is
-    processed first applies the pair's (shared) idle gap, and only when that
-    gap has no ZZ partner is the swap unobservable to instructions
-    interleaved between the two.
-    """
-    return (
-        a.qubits == b.qubits
-        and a.name in DIAGONAL_GATES
-        and b.name in DIAGONAL_GATES
-        and a.duration_ns == 0.0
-        and b.duration_ns == 0.0
-        and a.start_ns == b.start_ns
-        and footprint_a == frozenset(a.qubits)
-        and footprint_b == frozenset(b.qubits)
-    )
-
-
-def commutes(
-    a: "TimedInstruction",
-    b: "TimedInstruction",
-    footprint_a: FrozenSet[int],
-    footprint_b: FrozenSet[int],
-) -> bool:
-    """Whether two instructions may swap in processing order.
-
-    Either their footprints are disjoint (all applied channels act on
-    disjoint state factors) or the same-qubit diagonal rule applies.
-    """
-    if not (footprint_a & footprint_b):
-        return True
-    return _diagonal_exempt(a, b, footprint_a, footprint_b)
-
-
-def commutation_dag(
-    scheduled: "ScheduledCircuit",
-    ordered: Sequence["TimedInstruction"],
-    footprints: Optional[Sequence[FrozenSet[int]]] = None,
-) -> Tuple[List[int], List[List[int]]]:
-    """The ordering constraints between instructions, as a DAG.
-
-    Returns ``(pred_counts, successors)`` over indices into ``ordered``
-    (time-sorted).  An edge ``i -> j`` (``i`` before ``j`` in time order)
-    exists when the pair's footprints intersect and the diagonal exemption
-    does not apply; edges are emitted between each instruction and the
-    current *frontier* of every position it touches, so a run of mutually
-    exempt instructions all constrain their first non-exempt successor.
-    """
-    if footprints is None:
-        footprints = instruction_footprints(scheduled, ordered)
-    count = len(ordered)
-    pred_counts = [0] * count
-    successors: List[List[int]] = [[] for _ in range(count)]
-    # Whether an instruction can participate in a diagonal run at all
-    # (precomputed so the common non-diagonal case costs one flag check).
-    exemptable = [
-        timed.name in DIAGONAL_GATES
-        and timed.duration_ns == 0.0
-        and footprints[index] == frozenset(timed.qubits)
-        for index, timed in enumerate(ordered)
-    ]
-    # Per-position frontier: the current *run* of mutually-exempt
-    # instructions on the position, plus the run before it (the edge sources
-    # every new run member must be ordered after).  An instruction exempt
-    # with the whole current run joins it — inheriting the run's predecessor
-    # edges, so no run member can float ahead of what precedes the run — and
-    # a non-exempt instruction closes the run and starts its own.
-    run: Dict[int, List[int]] = {}
-    run_preds: Dict[int, List[int]] = {}
-
-    def _link(i: int, j: int, linked: set) -> None:
-        if i not in linked:
-            linked.add(i)
-            successors[i].append(j)
-            pred_counts[j] += 1
-
-    for j in range(count):
-        linked: set = set()
-        timed_j = ordered[j]
-        for position in footprints[j]:
-            members = run.get(position, [])
-            if (
-                members
-                and exemptable[j]
-                and all(
-                    exemptable[i]
-                    and ordered[i].qubits == timed_j.qubits
-                    and ordered[i].start_ns == timed_j.start_ns
-                    for i in members
-                )
-            ):
-                for i in run_preds.get(position, ()):
-                    _link(i, j, linked)
-                members.append(j)
-                continue
-            for i in members:
-                _link(i, j, linked)
-            run_preds[position] = members
-            run[position] = [j]
-    return pred_counts, successors
-
-
-def canonical_sort_key(timed: "TimedInstruction") -> Tuple:
-    """The deterministic content key greedy linearisation minimises.
-
-    Time-major (instructions are emitted in schedule order wherever
-    commutation does not say otherwise), measurements after same-start gates
-    (matching :meth:`ScheduledCircuit.sorted_instructions`), and DD-shaped
-    single-qubit ``x``/``y`` pulses deferred behind everything they commute
-    with: window-tuner candidates differ precisely in such pulses, so
-    emitting the commuting *shared* surroundings first maximises the
-    canonical prefix the whole candidate family has in common.  The trailing
-    fields spell the full instruction content (the same fields
-    :func:`~repro.engine.fingerprint.timed_instruction_token` digests), so
-    equal keys imply identical instructions.
-    """
-    instruction = timed.instruction
-    gate = instruction.gate
-    name = gate.name
-    return (
-        1 if (name in ("x", "y") and len(instruction.qubits) == 1) else 0,
-        timed.start_ns,
-        name == "measure",
-        name,
-        tuple(repr(param) for param in gate.params),
-        instruction.qubits,
-        instruction.clbits,
-        timed.duration_ns,
-    )
-
-
-def canonical_order(
-    scheduled: "ScheduledCircuit",
-    ordered: Optional[Sequence["TimedInstruction"]] = None,
-) -> List["TimedInstruction"]:
-    """The canonical processing order of a schedule.
-
-    Greedy topological linearisation of :func:`commutation_dag` under
-    :func:`canonical_sort_key`: of all instructions whose predecessors have
-    been emitted, the smallest key is emitted next.  The result is a pure
-    function of schedule content — idempotent, and invariant under any input
-    permutation of commuting instructions — and is what
-    :meth:`NoisySimulator.prepare <repro.simulators.noisy_simulator.NoisySimulator.prepare>`
-    executes, so canonical chain prefixes identify bit-identically replayable
-    evolution prefixes.
-    """
-    if ordered is None:
-        ordered = scheduled.sorted_instructions()
-    count = len(ordered)
-    if count <= 1:
-        return list(ordered)
-    pred_counts, successors = commutation_dag(scheduled, ordered)
-    # The index tiebreak keeps the heap total-ordered; two entries can only
-    # tie on the full key when their tokens are identical, where either order
-    # yields the same canonical sequence.
-    ready = [
-        (canonical_sort_key(ordered[i]), i) for i in range(count) if pred_counts[i] == 0
-    ]
-    heapq.heapify(ready)
-    out: List["TimedInstruction"] = []
-    while ready:
-        _, i = heapq.heappop(ready)
-        out.append(ordered[i])
-        for j in successors[i]:
-            pred_counts[j] -= 1
-            if pred_counts[j] == 0:
-                heapq.heappush(ready, (canonical_sort_key(ordered[j]), j))
-    if len(out) != count:  # pragma: no cover - the DAG is acyclic by construction
-        raise RuntimeError("commutation DAG linearisation lost instructions")
-    return out
+def canonical_order(scheduled: "ScheduledCircuit") -> List["TimedInstruction"]:
+    """The processing order of ``scheduled``: ``scheduled.sorted_instructions()``."""
+    return scheduled.sorted_instructions()

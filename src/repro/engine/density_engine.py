@@ -19,15 +19,10 @@ make VAQEM-style tuning sweeps affordable:
   only consults schedule content at or before its start time (see
   :mod:`repro.engine.fingerprint`).
 
-With ``enable_canonicalisation`` (the default) the processing order the
-chains digest — and the simulator executes — is the commutation-aware
-*canonical* order of :mod:`repro.engine.canonical`: schedules equal up to
-reordering of provably-commuting instructions share their fingerprints,
-cache lines, checkpoints, shard chains and scheduler conflict keys, and the
-canonical key deliberately defers DD-shaped pulses so sweep candidate
-families share the longest possible prefix.  Since every schedule executes
-its canonical order, a resumed prefix replays the exact instruction sequence
-the checkpoint's producer ran — bit-identical, never merely close.
+The chains digest the order the simulator executes (time order, see
+:mod:`repro.engine.canonical`), so a resumed prefix replays the exact
+instruction sequence the checkpoint's producer ran — bit-identical, never
+merely close.
 
 Both layers are thread-safe, so :meth:`run_batch` may fan out over threads
 without changing any result.  The engine also implements the process-tier
@@ -157,7 +152,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         snapshot_budget_bytes: int = 64 << 20,
         enable_prefix_reuse: bool = True,
         expectations_only_ipc: bool = False,
-        enable_canonicalisation: bool = True,
         kernel: Optional[str] = None,
         enable_segment_reuse: bool = True,
         segment_cache_entries: int = 65536,
@@ -187,11 +181,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         #: therefore not part of :meth:`_noise_key`.
         self.enable_segment_reuse = bool(enable_segment_reuse)
         self.segment_cache_entries = int(segment_cache_entries)
-        #: Process (and key) schedules in the commutation-aware canonical
-        #: order (see the module docstring and ``docs/architecture.md``).
-        #: Toggling this changes the processing order, so it salts every
-        #: cache key via :meth:`_noise_key`.
-        self.enable_canonicalisation = bool(enable_canonicalisation)
         self.result_cache_bytes = int(result_cache_bytes)
         self.expectation_cache_entries = int(expectation_cache_entries)
         self.snapshot_budget_bytes = int(snapshot_budget_bytes)
@@ -202,17 +191,13 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         #: cache then stays cold for those schedules (a later ``run`` of the
         #: same schedule re-simulates); values are unchanged either way.
         self.expectations_only_ipc = bool(expectations_only_ipc)
-        self._simulator = NoisySimulator(
-            noise_model, canonical_order=self.enable_canonicalisation
-        )
+        self._simulator = NoisySimulator(noise_model)
         #: The evolution backend behind the cursor API (`begin`/`advance`):
         #: the dense simulator itself, or the PTM evolver wrapping an
         #: identically-configured one (both walk the same op stream, so chains
         #: and contexts are kernel-independent).
         if self.kernel == "ptm":
-            self._backend = PTMEvolver(
-                noise_model, canonical_order=self.enable_canonicalisation
-            )
+            self._backend = PTMEvolver(noise_model)
         else:
             self._backend = self._simulator
         self._results = _ByteBudgetStore(result_cache_bytes)
@@ -248,12 +233,8 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 noise.include_gate_error,
                 noise.include_relaxation,
                 noise.time_offset_ns,
-                # The processing order is part of what a cached state is a
-                # function of: canonical and time-sorted execution agree only
-                # mathematically, not bit for bit.
-                self.enable_canonicalisation,
-                # Likewise the kernel: dense and PTM states agree to float
-                # tolerance, not bit for bit — and are different array types.
+                # The kernel: dense and PTM states agree to float tolerance,
+                # not bit for bit — and are different array types.
                 self.kernel,
             )
         )
@@ -287,7 +268,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         """The schedule's memoised segment key list, or ``None`` when segment
         reuse is disabled.
 
-        One key per stride-grid segment of the canonical order (stride = the
+        One key per stride-grid segment of the processing order (stride = the
         backend's fusion stride; 1 on the dense kernel), salted with the
         noise key — see :func:`repro.engine.segments.schedule_segment_keys`.
         Memoised in the chain memo (same lifetime and invalidation as the
@@ -856,7 +837,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 "snapshot_budget_bytes": self.snapshot_budget_bytes,
                 "enable_prefix_reuse": self.enable_prefix_reuse,
                 "expectations_only_ipc": self.expectations_only_ipc,
-                "enable_canonicalisation": self.enable_canonicalisation,
                 # Explicit, not env-derived: workers must run the kernel the
                 # parent resolved, whatever their environment says.
                 "kernel": self.kernel,

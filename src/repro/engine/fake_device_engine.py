@@ -47,7 +47,6 @@ class FakeDeviceEngine(ExecutionEngine):
         scheduling_policy: str = "alap",
         transpile_cache_entries: int = 256,
         expectations_only_ipc: bool = False,
-        enable_canonicalisation: bool = True,
         kernel: Optional[str] = None,
     ):
         super().__init__(seed=seed)
@@ -64,7 +63,6 @@ class FakeDeviceEngine(ExecutionEngine):
             self.noise_model,
             seed=seed,
             expectations_only_ipc=expectations_only_ipc,
-            enable_canonicalisation=enable_canonicalisation,
             kernel=kernel,
         )
         self.kernel = self._noisy.kernel
@@ -252,7 +250,6 @@ class FakeDeviceEngine(ExecutionEngine):
                 "scheduling_policy": self.scheduling_policy,
                 "transpile_cache_entries": self.transpile_cache_entries,
                 "expectations_only_ipc": self._noisy.expectations_only_ipc,
-                "enable_canonicalisation": self._noisy.enable_canonicalisation,
                 "kernel": self.kernel,
             },
             cache_key=f"{self.name}:{self._noisy._noise_key()}:{context!r}",

@@ -8,18 +8,12 @@ canonical byte encoding of the object.
 
 For prefix reuse the engine needs more than a single digest: it needs the
 *hash chain* of a schedule — ``chain[k]`` identifies the schedule's processing
-prefix of ``k`` instructions (in the simulator's canonical order), rooted in
+prefix of ``k`` instructions (in the simulator's time order), rooted in
 everything that influences how a prefix is simulated (device calibration,
 layout, register sizes and each qubit's first-activity time).  Two schedules
 with ``chain_a[k] == chain_b[k]`` evolve bit-identically through their first
 ``k`` instructions, so a snapshot taken at depth ``k`` of one can seed the
 other.
-
-The processing order the chains digest is the commutation-aware canonical
-order of :mod:`repro.engine.canonical` (what the simulator executes):
-schedules differing only in benign reorderings of commuting instructions
-share fingerprints, chains — and therefore caches, checkpoints, shard
-groupings and scheduler conflict keys.
 """
 
 from __future__ import annotations
@@ -205,20 +199,13 @@ def schedule_hash_chain(
     return chain
 
 
-def schedule_fingerprint(scheduled: "ScheduledCircuit", canonical: bool = True) -> str:
+def schedule_fingerprint(scheduled: "ScheduledCircuit") -> str:
     """Full content fingerprint of a scheduled circuit (no chain).
 
-    Digests the canonical processing order by default, so benign
-    reorderings of commuting instructions fingerprint identically; pass
-    ``canonical=False`` for a digest of the plain time-sorted order.
+    Digests the time-sorted processing order, in which the listed order of
+    same-start instructions is content.
     """
-    if canonical:
-        from .canonical import canonical_order
-
-        ordered = canonical_order(scheduled)
-    else:
-        ordered = scheduled.sorted_instructions()
-    return schedule_hash_chain(scheduled, ordered)[-1]
+    return schedule_hash_chain(scheduled, scheduled.sorted_instructions())[-1]
 
 
 # ----------------------------------------------------------------------------

@@ -25,12 +25,9 @@ entries (:class:`CacheRecord`) and its stats counters delta.
 
 **Prefix-aware shard scheduler.**  :func:`plan_shards` groups batch items so
 checkpoint reuse survives the process boundary: items are ordered by their
-schedule hash chain — which digests the commutation-aware canonical
-processing order (:mod:`repro.engine.canonical`), so schedules sharing a
-processing prefix become neighbours even when their instruction lists were
-assembled in different but commuting orders; window-tuner candidates
-differing inside one idle window cluster together — and the ordered list is
-cut into contiguous shards
+schedule hash chain, so schedules sharing a processing prefix become
+neighbours — window-tuner candidates differing inside one idle window
+cluster together — and the ordered list is cut into contiguous shards
 balanced by *marginal* simulation cost, i.e. the instructions an item adds
 beyond its predecessor's shared prefix.  Duplicates have zero marginal cost
 and always land in the shard that already simulates their content.

@@ -18,11 +18,8 @@ bound the engine-side concurrency no matter how many frontends submit.
 running one when their schedule hash chains overlap — they share a deep
 simulated prefix (or are the identical schedule outright), so running them
 concurrently would duplicate the simulation work the prefix-reuse
-checkpoints otherwise save.  The chains digest the *canonical* processing
-order (:mod:`repro.engine.canonical`), so two schedules that commute into
-the same deep prefix conflict even when their instruction lists were
-assembled in different orders — while schedules that merely collide
-textually (same device, same shallow state-prep) do not.  Crucially the
+checkpoints otherwise save — while schedules that merely collide textually
+(same device, same shallow state-prep) do not.  Crucially the
 edges are **per item, not per batch**: when a queued batch shares only some
 items with what is running, the non-conflicting items dispatch immediately
 as a partial *slice* and the rest remain queued at the head of their

@@ -41,15 +41,15 @@ Keying
 ``schedule_segment_keys`` digests, per segment:
 
 * the schedule-level context: caller salt (the engine's noise key, which
-  already covers device calibration, noise flags, canonicalisation and the
-  kernel), qubit count, the position-to-physical layout and the stride;
+  already covers device calibration, noise flags and the kernel), qubit
+  count, the position-to-physical layout and the stride;
 * each instruction's timed token (name, params, qubits, clbits, absolute
   start and duration);
 * each idle gap the simulator would fill before the instruction: the
   position, its entry ``last_time`` and the ZZ-partner positions, computed
-  with the *same* >= 50%-idle-neighbour rule — including busy intervals that
-  lie outside the segment, which is why the partners are part of the key
-  rather than an assumption.
+  by the simulator's own idle-gap rule (``NoisySimulator.idle_partners``) —
+  including busy intervals that lie outside the segment, which is why the
+  partners are part of the key rather than an assumption.
 
 The op stream is a pure function of these inputs, so equal keys imply equal
 operator streams.  Keys are memoised per prepared schedule by the engine;
@@ -83,10 +83,6 @@ __all__ = [
     "segment_spans",
 ]
 
-#: Idle gaps at or below this (in ns) emit no idle ops — the same threshold
-#: ``NoisySimulator._idle_ops`` and the canonicalisation footprints use.
-IDLE_EPSILON = 1e-9
-
 
 def segment_spans(total: int, stride: int) -> List[Tuple[int, int]]:
     """Stride-grid segment boundaries over ``total`` instructions.
@@ -110,16 +106,14 @@ def schedule_segment_keys(
     """One content key per stride-grid segment of ``context.ordered``.
 
     ``simulator`` is the :class:`~repro.simulators.noisy_simulator.NoisySimulator`
-    whose idle rule the keys must mirror (its ``_idle_overlap`` is consulted
-    directly, so the ZZ judgement can never drift).  The walk advances a
+    whose idle-gap rule (``idle_partners``) both the keys and its op stream
+    consult, so the ZZ judgement can never drift.  The walk advances a
     private ``last_time`` copy exactly as ``schedule_ops`` would, but builds
     no operator payloads — keying a schedule costs one token digest per
     instruction, done once and memoised by the engine.
     """
     ordered = context.ordered
-    busy = context.busy
-    neighbors = context.neighbors
-    overlap = simulator._idle_overlap
+    idle_partners = simulator.idle_partners
     root = _digest(
         salt,
         str(scheduled.num_qubits),
@@ -137,14 +131,8 @@ def schedule_segment_keys(
                 continue
             for position in timed.qubits:
                 entry = last_time[position]
-                gap_end = timed.start_ns
-                if gap_end - entry > IDLE_EPSILON:
-                    partners = tuple(
-                        other
-                        for other in neighbors[position]
-                        if overlap(busy[other], entry, gap_end)
-                        >= 0.5 * (gap_end - entry)
-                    )
+                partners = idle_partners(context, position, entry, timed.start_ns)
+                if partners is not None:
                     parts.append(f"idle|{position}|{entry!r}|{partners!r}")
             if timed.name == "measure":
                 last_time[timed.qubits[0]] = timed.end_ns

@@ -9,8 +9,7 @@ The key digests everything a served payload is a function of:
 
 * the program's full content fingerprint — the last entry of the engine's
   shard chain, which (for the density engines) is already salted with the
-  noise key: device calibration, noise-model flags, canonicalisation and
-  simulation kernel.  Two engines configured differently never share a line;
+  noise key: device calibration, noise-model flags and simulation kernel.  Two engines configured differently never share a line;
 * the operation (``run`` vs ``expectation``) and its knobs (shots,
   observable fingerprint);
 * the engine seed — sampled expectation values are functions of

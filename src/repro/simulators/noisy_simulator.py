@@ -22,16 +22,9 @@ the schedule in one sweep; a cursor resumed from a checkpoint of an identical
 prefix is bit-identical too, because processing an instruction only consults
 schedule content at or before its start time.
 
-The processing order itself is the *canonical* commutation-aware order of
-:mod:`repro.engine.canonical` (``canonical_order=True``, the default): a pure
-function of schedule content that lists provably-commuting instructions in a
-deterministic normal form.  Schedules that differ only in a benign
-permutation of commuting instructions therefore process the identical
-instruction sequence — bit-identical results, and shareable prefix
-checkpoints for the engine layer.  Pass ``canonical_order=False`` to process
-the plain time-sorted order instead (the pre-canonicalisation behaviour; the
-two orders are mathematically equivalent but differ at float rounding level
-when commuting instructions swap).
+The processing order is :meth:`ScheduledCircuit.sorted_instructions`, which
+keeps same-start instructions in their listed order; the engine layer's
+content keys digest the same order.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ class SimOp:
     ``kind`` is ``"unitary"`` (``payload`` is the gate matrix) or
     ``"channel"`` (``payload`` is a :class:`~repro.simulators.noise_model.ChannelOp`).
     ``index`` is the position of the originating instruction in the context's
-    canonical order — backends use it to align work (e.g. fusion boundaries)
+    processing order — backends use it to align work (e.g. fusion boundaries)
     to instruction boundaries deterministically.
     """
 
@@ -117,17 +110,8 @@ class EvolutionCursor:
 class NoisySimulator:
     """Density-matrix simulator driven by a scheduled circuit and a noise model."""
 
-    def __init__(
-        self,
-        noise_model: NoiseModel,
-        seed: Optional[int] = None,
-        canonical_order: bool = True,
-    ):
+    def __init__(self, noise_model: NoiseModel, seed: Optional[int] = None):
         self.noise_model = noise_model
-        #: Process instructions in the commutation-aware canonical order of
-        #: :mod:`repro.engine.canonical` (the default) rather than the plain
-        #: time-sorted order; see the module docstring.
-        self.canonical_order = bool(canonical_order)
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -136,22 +120,14 @@ class NoisySimulator:
     def prepare(self, scheduled: ScheduledCircuit) -> ScheduleContext:
         """Build the per-schedule lookup tables used while stepping.
 
-        ``context.ordered`` is the simulator's processing order — canonical
-        when :attr:`canonical_order` is set — and is what the engine layer's
-        schedule hash chains digest, so chain prefixes always identify
-        exactly the instruction sequence :meth:`advance` replays.
+        ``context.ordered`` is the simulator's processing order (time order)
+        and is what the engine layer's schedule hash chains digest, so chain
+        prefixes always identify exactly the instruction sequence
+        :meth:`advance` replays.
         """
         if scheduled.num_qubits > 10:
             raise SimulationError("density-matrix simulation is limited to 10 qubits")
-        if self.canonical_order:
-            # Imported lazily: repro.engine pulls this module in at package
-            # import time, and the canonicalisation helpers live with the
-            # other content-keying code in the engine layer.
-            from ..engine.canonical import canonical_order
-
-            ordered = canonical_order(scheduled)
-        else:
-            ordered = scheduled.sorted_instructions()
+        ordered = scheduled.sorted_instructions()
         # Idle tracking starts at each qubit's first activity, since noise on
         # |0> before the runtime begins has no observable effect.
         initial_last_time: Dict[int, float] = {}
@@ -292,13 +268,7 @@ class NoisySimulator:
                 continue
             for position in timed.qubits:
                 yield from self._idle_ops(
-                    scheduled,
-                    context.busy,
-                    context.neighbors,
-                    position,
-                    last_time[position],
-                    timed.start_ns,
-                    index,
+                    scheduled, context, position, last_time[position], timed.start_ns, index
                 )
             if name == "measure":
                 for op in noise.measurement_prelude_channels(scheduled.physical_qubit(timed.qubits[0])):
@@ -366,10 +336,7 @@ class NoisySimulator:
 
         ``busy`` is sorted by start time, so intervals from the first one
         starting at or beyond ``end`` contribute exactly zero and the scan
-        stops there (an arithmetic no-op, not an approximation).  The
-        canonicalisation footprints (:mod:`repro.engine.canonical`) call
-        this method so their ZZ judgement can never drift from the
-        simulator's.
+        stops there (an arithmetic no-op, not an approximation).
         """
         if end <= start:
             return 0.0
@@ -383,35 +350,49 @@ class NoisySimulator:
                 occupied += hi - lo
         return (end - start) - occupied
 
+    @classmethod
+    def idle_partners(
+        cls, context: ScheduleContext, position: int, start: float, end: float
+    ) -> Optional[Tuple[int, ...]]:
+        """The idle-gap rule: what idling ``position`` over ``[start, end]`` involves.
+
+        ``None`` when the gap is at most 1e-9 ns, which applies no idle noise.
+        Otherwise the coupled positions that idle through at least half of
+        the gap, in coupling order: the ZZ-crosstalk partners handed to the
+        noise model's idle channels.  :meth:`schedule_ops` and the segment keys
+        (:func:`repro.engine.segments.schedule_segment_keys`) both call this,
+        so the keys always describe the channels the walk applies.
+        """
+        if end - start <= 1e-9:
+            return None
+        busy = context.busy
+        return tuple(
+            other
+            for other in context.neighbors[position]
+            if cls._idle_overlap(busy[other], start, end) >= 0.5 * (end - start)
+        )
+
     def _idle_ops(
         self,
         scheduled: ScheduledCircuit,
-        busy: Dict[int, List[Tuple[float, float]]],
-        neighbors: Dict[int, List[int]],
+        context: ScheduleContext,
         position: int,
         start: float,
         end: float,
         index: int,
     ):
-        if end - start <= 1e-9:
+        partners = self.idle_partners(context, position, start, end)
+        if partners is None:
             return
         physical = scheduled.physical_qubit(position)
-        # Neighbours idle during (most of) the interval participate in ZZ.
-        idle_neighbors = []
-        neighbor_positions = []
-        for other in neighbors[position]:
-            overlap = self._idle_overlap(busy[other], start, end)
-            if overlap >= 0.5 * (end - start):
-                idle_neighbors.append(scheduled.physical_qubit(other))
-                neighbor_positions.append(other)
+        idle_neighbors = [scheduled.physical_qubit(other) for other in partners]
         ops = self.noise_model.idle_channels(physical, start, end, idle_neighbors)
         for op in ops:
             if len(op.qubits) == 1:
                 yield SimOp("channel", op, (position,), index)
             else:
                 # Two-qubit (ZZ) channel: map physical qubits back to positions.
-                other_physical = op.qubits[1]
-                other_position = neighbor_positions[idle_neighbors.index(other_physical)]
+                other_position = partners[idle_neighbors.index(op.qubits[1])]
                 yield SimOp("channel", op, (position, other_position), index)
 
     @staticmethod

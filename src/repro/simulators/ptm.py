@@ -480,10 +480,9 @@ class PTMEvolver:
     #: snapshot/resume depth) to it.
     fusion_stride = 8
 
-    def __init__(self, noise_model: NoiseModel, canonical_order: bool = True):
-        self._simulator = NoisySimulator(noise_model, canonical_order=canonical_order)
+    def __init__(self, noise_model: NoiseModel):
+        self._simulator = NoisySimulator(noise_model)
         self.noise_model = noise_model
-        self.canonical_order = self._simulator.canonical_order
 
     def prepare(self, scheduled) -> ScheduleContext:
         return self._simulator.prepare(scheduled)
@@ -645,7 +644,7 @@ class PTMEvolver:
         return cursor.state
 
 
-def dense_contraction_count(noise_model: NoiseModel, scheduled, canonical_order: bool = True) -> int:
+def dense_contraction_count(noise_model: NoiseModel, scheduled) -> int:
     """How many tensor contractions the dense backend spends on a schedule.
 
     Walks the op stream without simulating: a unitary costs two contractions
@@ -653,7 +652,7 @@ def dense_contraction_count(noise_model: NoiseModel, scheduled, canonical_order:
     comparison uses this as the dense-side invocation count to set against
     the PTM backend's ``ptm_matmuls``.
     """
-    simulator = NoisySimulator(noise_model, canonical_order=canonical_order)
+    simulator = NoisySimulator(noise_model)
     context = simulator.prepare(scheduled)
     last_time = dict(context.initial_last_time)
     count = 0

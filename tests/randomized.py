@@ -1,16 +1,16 @@
 """Seeded random circuit and schedule generation, shared by tests and benchmarks.
 
-One generator feeds both the fuzz suites (``test_canonical.py``,
-``test_randomized_differential.py``) and the randomized benchmark leg in
+One generator feeds both the fuzz suites (``test_randomized_differential.py``,
+``test_segments.py``) and the randomized benchmark legs in
 ``benchmarks/run_all.py``, so benchmark inputs and fuzz cases come from the
 same source and a failing case is always reproducible from its seed alone
 (see ``docs/testing.md``).
 
 Everything here is a pure function of its ``seed`` argument: the same seed
-produces the same circuit, schedule, variant family or permutation on every
-platform and in every process.  No pytest dependency — the module is plain
-Python, imported by the test suite from the ``tests`` directory and by the
-benchmark driver via an explicit ``sys.path`` entry.
+produces the same circuit, schedule or variant family on every platform and
+in every process.  No pytest dependency — the module is plain Python,
+imported by the test suite from the ``tests`` directory and by
+``benchmarks/run_all.py`` via an explicit ``sys.path`` entry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.backends import fake_casablanca
 from repro.circuits import QuantumCircuit
-from repro.engine.canonical import commutes, instruction_footprints
 from repro.mitigation.dd import DDConfig, insert_dd_sequences, max_sequences_in_window
 from repro.mitigation.gate_scheduling import GSConfig, movable_gate, reschedule_gate
 from repro.transpiler import transpile
@@ -32,18 +31,16 @@ from repro.transpiler.scheduling import ScheduledCircuit
 #: Parameterized single-qubit gates the generator draws angles for.
 _PARAMETRIC_1Q = ("rx", "ry", "rz")
 #: Fixed single-qubit gates, including the diagonal ones (commuting
-#: same-qubit adjacencies) and x/y (the DD-pulse shapes the canonical key
-#: defers).
+#: same-qubit adjacencies) and x/y (the DD-pulse shapes).
 _FIXED_1Q = ("x", "y", "h", "s", "sx", "t", "z")
 
 
 def fuzz_device(seed: int = 7001):
     """The deterministic 7-qubit device every fuzz case runs on.
 
-    The Casablanca model carries the full noise surface the canonicalisation
-    rules must respect — coupling map, nonzero ZZ crosstalk rates, per-qubit
-    calibration — and a fixed construction seed keeps fingerprints stable
-    across runs.
+    The Casablanca model carries the full noise surface — coupling map,
+    nonzero ZZ crosstalk rates, per-qubit calibration — and a fixed
+    construction seed keeps fingerprints stable across runs.
     """
     return fake_casablanca(seed=seed)
 
@@ -130,7 +127,7 @@ def schedule_family(
 
     Mirrors what the window tuner evaluates: DD pulses inserted into idle
     windows and single-qubit gates moved within them.  These are the
-    families whose canonical prefixes the engine's reuse fast path shares.
+    families whose prefixes the engine's reuse fast path shares.
     """
     rng = np.random.default_rng(seed)
     variants: List[ScheduledCircuit] = [compiled.scheduled]
@@ -151,80 +148,6 @@ def schedule_family(
     return variants[: max_variants + 1]
 
 
-# ----------------------------------------------------------------------------
-# Benign permutations (the canonicalisation oracle's "allowed" reorderings)
-# ----------------------------------------------------------------------------
-
-def _tie_key(timed) -> Tuple[float, bool]:
-    """The stable-sort tie group of ``sorted_instructions``."""
-    return (timed.start_ns, timed.name == "measure")
-
-
-def benign_permutation(scheduled: ScheduledCircuit, seed: int) -> ScheduledCircuit:
-    """A copy whose instruction list is reordered only in ways that preserve
-    schedule semantics.
-
-    Two reorderings are benign: any permutation of the *list* that
-    ``sorted_instructions`` undoes (instructions at different start times),
-    and swaps of same-start instructions that provably commute
-    (:func:`repro.engine.canonical.commutes`).  Same-start instructions that
-    do **not** commute — e.g. a zero-duration ``rz`` and the ``sx`` starting
-    at the same instant on the same qubit — keep their relative order: that
-    order is part of the schedule's content.  Canonicalisation must map every
-    output of this function to the identical canonical order.
-    """
-    rng = random.Random(seed)
-    out = scheduled.copy()
-    base = out.sorted_instructions()
-    footprints = instruction_footprints(out, base)
-
-    # Group the time-sorted instructions by stable-sort tie key.
-    groups: List[List[Tuple[object, object]]] = []
-    previous = None
-    for timed, footprint in zip(base, footprints):
-        key = _tie_key(timed)
-        if key != previous:
-            groups.append([])
-            previous = key
-        groups[-1].append((timed, footprint))
-
-    # Random linear extension of each tie group that keeps every
-    # non-commuting pair in its original relative order.
-    shuffled_groups: List[List[object]] = []
-    for members in groups:
-        count = len(members)
-        blockers: List[set] = [set() for _ in range(count)]
-        for i in range(count):
-            for j in range(i + 1, count):
-                if not commutes(
-                    members[i][0], members[j][0], members[i][1], members[j][1]
-                ):
-                    blockers[j].add(i)
-        placed: set = set()
-        emitted: List[object] = []
-        while len(emitted) < count:
-            ready = [
-                k for k in range(count) if k not in placed and blockers[k] <= placed
-            ]
-            pick = rng.choice(ready)
-            placed.add(pick)
-            emitted.append(members[pick][0])
-        shuffled_groups.append(emitted)
-
-    # Random interleave across groups, preserving each group's new internal
-    # order (the stable sort reassembles the groups; only intra-group order
-    # survives into ``sorted_instructions``).
-    interleaved: List[object] = []
-    fronts = [list(group) for group in shuffled_groups if group]
-    while fronts:
-        group = rng.choice(fronts)
-        interleaved.append(group.pop(0))
-        if not group:
-            fronts.remove(group)
-    out.timed_instructions = interleaved
-    return out
-
-
 def segment_family(
     compiled: TranspileResult,
     seed: int,
@@ -236,18 +159,13 @@ def segment_family(
     the ``segment_reuse`` leg of ``benchmarks/run_all.py``) needs families
     whose members share *checkpoint-aligned segments* rather than just
     prefixes: window-tuner candidates that diverge inside exactly one idle
-    window and are untouched everywhere else, so every canonical segment not
+    window and are untouched everywhere else, so every segment not
     overlapping that window carries identical content before and after the
     edit.  Returns ``(label, window, scheduled)`` triples, base first:
 
     - ``("base", None, ...)`` — the compiled schedule itself;
     - ``("dd", window, ...)`` / ``("gs", window, ...)`` — one DD insertion
-      or gate move inside ``window``, the single point of divergence;
-    - ``("perm_base", None, ...)`` / ``("perm_dd"|"perm_gs", window, ...)``
-      — benign permutations (:func:`benign_permutation`) of the base and the
-      first variant: same content, reassembled instruction list, so
-      canonicalisation maps them to the identical canonical order and their
-      segment keys must match their source's bit for bit.
+      or gate move inside ``window``, the single point of divergence.
 
     Deterministic per ``(compiled, seed)`` like everything in this module.
     """
@@ -275,16 +193,11 @@ def segment_family(
             members.append(
                 ("gs", window, reschedule_gate(compiled.scheduled, window, GSConfig(position)))
             )
-    members = members[: max_variants + 1]
-    for index, (label, window, scheduled) in enumerate(members[:2]):
-        members.append(
-            (f"perm_{label}", window, benign_permutation(scheduled, seed + index))
-        )
-    return members
+    return members[: max_variants + 1]
 
 
 def fuzz_seeds(count: int, offset: int = 0) -> List[int]:
-    """The canonical fuzz seed list (documented in ``docs/testing.md``)."""
+    """The fuzz seed list (documented in ``docs/testing.md``)."""
     return [1000 + offset + index for index in range(count)]
 
 

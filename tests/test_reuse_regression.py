@@ -3,16 +3,13 @@
 The H2 window-tuner sweep is the workload the engine's reuse machinery was
 built for; its reuse fraction is recorded in ``BENCH_engine.json``
 (``h2_window_tuner.reuse_fraction``) and must not silently regress.  These
-tests replay the benchmark's sweep configuration and pin three facts:
+tests replay the benchmark's sweep configuration and pin two facts:
 
 * with segment-level reuse on, the sweep's reuse fraction clears the
   ``> 0.53`` floor — the ceiling PR 5's oracle measured for *prefix-only*
   reuse, which segment replay exists to break (the recorded value is ~0.87;
-  raise the floor when the recorded value improves);
-* canonicalisation still beats the plain time-sorted keying it replaced.
-  This guard runs with segment reuse *off*: segments recover the post-
-  divergence tail under either keying mode, so with segments on both modes
-  converge to the same fraction and the comparison would be vacuous;
+  raise the floor when the recorded value improves), and segment replay
+  leaves the tuned energy bit-identical;
 * the tuned energy is bit-identical across serial, thread and process
   tiers, and the counters honour each tier's determinism contract.  Serial
   and process repeat runs report *identical* stats (serial trivially;
@@ -25,11 +22,6 @@ tests replay the benchmark's sweep configuration and pin three facts:
   on the thread tier: single-flight ``segment_misses`` (every distinct key
   missed exactly once however threads interleave) and the instruction
   totals ``instructions_simulated`` / ``instructions_reused``.
-
-The canonical and exact engines process mathematically identical but
-differently-ordered instruction sequences, so their tuned energies agree to
-float tolerance but not bit for bit; bit-identity is guaranteed *within*
-each keying mode across segment-reuse settings and execution tiers.
 """
 
 from __future__ import annotations
@@ -72,7 +64,6 @@ def _run_sweep(
     device,
     compiled,
     *,
-    enable_canonicalisation=True,
     enable_segment_reuse=True,
     budget=FULL_BUDGET,
     parallelism=None,
@@ -82,7 +73,6 @@ def _run_sweep(
     engine = NoisyDensityMatrixEngine(
         noise_model,
         seed=11,
-        enable_canonicalisation=enable_canonicalisation,
         enable_segment_reuse=enable_segment_reuse,
     )
     estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
@@ -103,57 +93,34 @@ def _run_sweep(
 
 
 @pytest.fixture(scope="module")
-def canonical_sweep(h2_sweep_inputs):
+def h2_sweep(h2_sweep_inputs):
     application, device, compiled = h2_sweep_inputs
     return _run_sweep(application, device, compiled)
 
 
 @pytest.fixture(scope="module")
-def canonical_noseg_sweep(h2_sweep_inputs):
+def noseg_sweep(h2_sweep_inputs):
     application, device, compiled = h2_sweep_inputs
     return _run_sweep(application, device, compiled, enable_segment_reuse=False)
 
 
-def test_reuse_fraction_meets_recorded_baseline(canonical_sweep):
-    _, stats = canonical_sweep
+def test_reuse_fraction_meets_recorded_baseline(h2_sweep):
+    _, stats = h2_sweep
     assert stats.reuse_fraction > REUSE_FLOOR
     assert stats.segment_hits > 0
     assert 0.0 < stats.segment_hit_rate <= 1.0
 
 
-def test_segment_reuse_is_bitwise_transparent_on_the_sweep(
-    canonical_sweep, canonical_noseg_sweep
-):
+def test_segment_reuse_is_bitwise_transparent_on_the_sweep(h2_sweep, noseg_sweep):
     # Segment replay applies the identical operator arrays in the identical
     # order a cold walk applies: the tuned energy is bit-identical, not
     # merely close, and the tuner walks the exact same candidate sequence.
-    result, stats = canonical_sweep
-    noseg_result, noseg_stats = canonical_noseg_sweep
+    result, stats = h2_sweep
+    noseg_result, noseg_stats = noseg_sweep
     assert result.tuned_value == noseg_result.tuned_value
     assert result.num_evaluations == noseg_result.num_evaluations
     assert noseg_stats.segment_hits == 0
     assert stats.reuse_fraction > noseg_stats.reuse_fraction
-
-
-def test_canonicalisation_beats_exact_keying(h2_sweep_inputs, canonical_noseg_sweep):
-    # Run with segments off: segment replay recovers the post-divergence
-    # tail under either keying mode, so with segments on both modes reach
-    # the same fraction and the comparison would show nothing.
-    application, device, compiled = h2_sweep_inputs
-    canonical_result, canonical_stats = canonical_noseg_sweep
-    exact_result, exact_stats = _run_sweep(
-        application,
-        device,
-        compiled,
-        enable_canonicalisation=False,
-        enable_segment_reuse=False,
-    )
-    assert canonical_stats.reuse_fraction > exact_stats.reuse_fraction
-    # Same model, different operator ordering: equal to tolerance.
-    assert canonical_result.tuned_value == pytest.approx(
-        exact_result.tuned_value, abs=1e-9
-    )
-    assert canonical_result.num_evaluations == exact_result.num_evaluations
 
 
 class TestTierDeterminism:

@@ -455,49 +455,6 @@ class TestJobFingerprints:
         )
         engine.close()
 
-    def test_commuting_variants_serialize_textual_collisions_overlap(
-        self, device, device_noise, two_frontend_workloads
-    ):
-        """Conflict keys digest the *canonical* order: two frontends
-        submitting commuting variants of one schedule — identical content,
-        differently-assembled instruction lists — collide on the canonical
-        deep prefix and serialize, while schedules that merely look alike
-        textually (same device, same ansatz shape, different parameters)
-        share no conflict key and overlap."""
-        import randomized
-
-        engine = NoisyDensityMatrixEngine(device_noise, seed=1)
-        ansatz = efficient_su2(4, reps=2, entanglement="circular")
-        rng = np.random.default_rng(51)
-        bound = ansatz.bind_parameters(
-            rng.uniform(-math.pi, math.pi, ansatz.num_parameters)
-        )
-        bound.measure_all()
-        compiled = transpile(bound, device)
-        variant = randomized.benign_permutation(compiled.scheduled, 5)
-        # The permutation genuinely reassembled the instruction list: the
-        # plain time-sorted token streams disagree ...
-        from repro.engine.fingerprint import timed_instruction_token
-
-        assert [
-            timed_instruction_token(t) for t in variant.sorted_instructions()
-        ] != [
-            timed_instruction_token(t)
-            for t in compiled.scheduled.sorted_instructions()
-        ]
-        # ... yet the canonical conflict keys are identical, so the two
-        # submissions serialize on the full deep prefix.
-        base_keys = job_fingerprints(job_chains(engine, "run", [compiled.scheduled]))
-        variant_keys = job_fingerprints(job_chains(engine, "run", [variant]))
-        assert base_keys == variant_keys and base_keys
-        # Control: a textual lookalike (another frontend's differently-bound
-        # copy of the same ansatz) keeps disjoint keys and may overlap.
-        lookalike = two_frontend_workloads[0][0]
-        assert not job_fingerprints(
-            job_chains(engine, "run", [lookalike])
-        ) & base_keys
-        engine.close()
-
 
 # ----------------------------------------------------------------------------
 # Two frontends sharing one engine (the multi-tenant story)
