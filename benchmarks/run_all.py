@@ -82,8 +82,8 @@ def _h2_tuner_comparison():
     """Time the H2 window-tuner sweep across every execution tier.
 
     Five legs tune from the same compiled schedule: the legacy *sequential*
-    path (no cache, no prefix or segment reuse — what the pre-engine code
-    did), the batched engine path in its *serial*, *thread* and *process*
+    path (no result cache, no prefix reuse — what the pre-engine code did),
+    the batched engine path in its *serial*, *thread* and *process*
     tiers, and the *pipelined* leg — asynchronous submission over the
     process tier, where the tuner builds window N+1's candidates while
     window N's execute (``docs/async.md``).  With ``shots=None`` the tuned
@@ -117,10 +117,6 @@ def _h2_tuner_comparison():
             noise_model,
             seed=11,
             enable_prefix_reuse=batched,
-            # The sequential leg re-simulates every evaluation, like the
-            # pre-engine code did — segment replay included, so it stays a
-            # true no-reuse baseline.
-            enable_segment_reuse=batched,
             result_cache_bytes=(256 << 20) if batched else 0,
         )
         estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
@@ -191,9 +187,10 @@ def _h2_tuner_comparison():
         # The headline reuse number (tracked by tests/test_reuse_regression.py).
         "reuse_fraction": engine.stats.reuse_fraction,
         # Segment-cache replay counters for the serial leg
-        # (docs/segment_reuse.md): hits are whole checkpoint-aligned segments
-        # served from the content-keyed operator cache instead of re-walking
-        # their instructions.
+        # (docs/segment_reuse.md): hits are whole fusion-stride blocks served
+        # from the content-keyed kernel cache instead of re-walking their
+        # instructions.  Segments run on the PTM kernel only, so these are
+        # zero on the dense kernel.
         "segment_cache": {
             "hits": engine.stats.segment_hits,
             "misses": engine.stats.segment_misses,
@@ -350,8 +347,8 @@ def _randomized_reuse_leg():
     Inputs come from ``tests/randomized.py`` — the same seeded generator the
     fuzz suites run — so this leg benchmarks exactly the cases the
     differential tests prove correct.  Each family is a base schedule and
-    its sweep-style DD/GS variants, which share checkpoint prefixes and
-    segments with the base.
+    its sweep-style DD/GS variants, which share checkpoint prefixes (and,
+    on the PTM kernel, segments) with the base.
     """
     import randomized
     from repro.engine import NoisyDensityMatrixEngine
@@ -622,14 +619,15 @@ def _ingestion_leg():
 def _segment_reuse_leg():
     """A/B the segment-level operator cache on the H2 window-tuner sweep.
 
-    Both legs run the serial tier with prefix reuse on;
-    only ``enable_segment_reuse`` differs.  Replaying a cached segment applies
+    Both legs run the serial tier on the PTM kernel, the only kernel with a
+    segment cache, with prefix reuse on; only ``enable_segment_reuse``
+    differs.  Replaying a cached segment applies
     the identical operator arrays in the identical order as re-walking its
     instructions, so the tuned energies must agree *bit for bit* — the delta
     recorded here is the acceptance check, not a tolerance.  The reuse
     fractions quantify what segment replay adds on top of prefix snapshots:
     window-tuner candidates differing only inside window k share every
-    checkpoint-aligned segment after k (docs/segment_reuse.md).
+    fusion-stride block after k (docs/segment_reuse.md).
     """
     from repro.engine import NoisyDensityMatrixEngine
     from repro.simulators import NoiseModel
@@ -650,7 +648,7 @@ def _segment_reuse_leg():
     def tune(enable_segment_reuse):
         noise_model = NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(
-            noise_model, seed=11, enable_segment_reuse=enable_segment_reuse
+            noise_model, seed=11, kernel="ptm", enable_segment_reuse=enable_segment_reuse
         )
         estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
         tuner = IndependentWindowTuner(
@@ -686,7 +684,7 @@ def _segment_reuse_leg():
     def run_families(enable_segment_reuse):
         noise_model = NoiseModel.from_device(fuzz_device)
         engine = NoisyDensityMatrixEngine(
-            noise_model, seed=5, enable_segment_reuse=enable_segment_reuse
+            noise_model, seed=5, kernel="ptm", enable_segment_reuse=enable_segment_reuse
         )
         start = time.perf_counter()
         probabilities = [

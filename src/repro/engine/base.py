@@ -123,10 +123,11 @@ class EngineStats:
     ptm_matmuls: int = 0
     instructions_fused: int = 0
     batch_width: int = 0
-    #: Segment-cache counters (see ``docs/segment_reuse.md``): replays of a
-    #: cached segment's compiled operator stream, and first-time compilations
-    #: that populated the cache.  Instructions covered by replayed segments
-    #: count into ``instructions_reused`` alongside prefix-resumed ones.
+    #: Segment-cache counters (see ``docs/segment_reuse.md``; zero on the
+    #: dense kernel, like ``ptm_matmuls``): replays of a cached segment's
+    #: fused kernels, and first-time compilations that populated the cache.
+    #: Instructions covered by replayed segments count into
+    #: ``instructions_reused`` alongside prefix-resumed ones.
     segment_hits: int = 0
     segment_misses: int = 0
 

@@ -154,7 +154,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         expectations_only_ipc: bool = False,
         kernel: Optional[str] = None,
         enable_segment_reuse: bool = True,
-        segment_cache_entries: int = 65536,
     ):
         super().__init__(seed=seed)
         self.noise_model = noise_model
@@ -172,15 +171,15 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             raise EngineError(f"unknown simulation kernel {kernel!r} (use 'dense' or 'ptm')")
         self.kernel = kernel
         self.enable_prefix_reuse = enable_prefix_reuse
-        #: Segment-level reuse (see ``docs/segment_reuse.md`` and
-        #: :mod:`repro.engine.segments`): each stride-grid segment's compiled
-        #: operator stream is cached by content hash and replayed when *any*
-        #: schedule — whatever its prefix — contains the same segment.
-        #: Replay applies the identical operator arrays in the identical
-        #: order, so results are bit-identical with this on or off; it is
-        #: therefore not part of :meth:`_noise_key`.
+        #: Segment-level reuse, PTM kernel only (see ``docs/segment_reuse.md``
+        #: and :mod:`repro.engine.segments`): each fusion-stride block's fused
+        #: kernels are cached by content hash and replayed when *any*
+        #: schedule — whatever its prefix — contains the same block.  Replay
+        #: applies the identical kernels in the identical order, so results
+        #: are bit-identical with this on or off; it is therefore not part of
+        #: :meth:`_noise_key`.  The dense kernel reuses prefixes only, and
+        #: ignores this flag.
         self.enable_segment_reuse = bool(enable_segment_reuse)
-        self.segment_cache_entries = int(segment_cache_entries)
         self.result_cache_bytes = int(result_cache_bytes)
         self.expectation_cache_entries = int(expectation_cache_entries)
         self.snapshot_budget_bytes = int(snapshot_budget_bytes)
@@ -195,15 +194,20 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         #: The evolution backend behind the cursor API (`begin`/`advance`):
         #: the dense simulator itself, or the PTM evolver wrapping an
         #: identically-configured one (both walk the same op stream, so chains
-        #: and contexts are kernel-independent).
+        #: and contexts are kernel-independent).  Segment replay pays only
+        #: on the PTM evolver, so only it gets a segment cache; with
+        #: ``_segments`` None the engine computes no segment keys and counts
+        #: no segments.
+        self._segments: Optional[SegmentCache] = None
         if self.kernel == "ptm":
             self._backend = PTMEvolver(noise_model)
+            if self.enable_segment_reuse:
+                self._segments = SegmentCache()
         else:
             self._backend = self._simulator
         self._results = _ByteBudgetStore(result_cache_bytes)
         self._expectations = _LRUCache(expectation_cache_entries)
         self._snapshots = _ByteBudgetStore(snapshot_budget_bytes)
-        self._segments = SegmentCache(self.segment_cache_entries)
         #: Per-object memo of prepared ``(context, chain)`` pairs: one
         #: schedule object is hashed several times per execution (scheduler
         #: conflict detection, shard planning, the expectation cache-first
@@ -265,20 +269,20 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
     def _segment_keys(
         self, scheduled: ScheduledCircuit, context: Optional[ScheduleContext] = None
     ) -> Optional[List[str]]:
-        """The schedule's memoised segment key list, or ``None`` when segment
-        reuse is disabled.
+        """The schedule's memoised segment key list, or ``None`` when the
+        engine holds no segment cache (the dense kernel, or segment reuse
+        disabled).
 
-        One key per stride-grid segment of the processing order (stride = the
-        backend's fusion stride; 1 on the dense kernel), salted with the
-        noise key — see :func:`repro.engine.segments.schedule_segment_keys`.
+        One key per fusion-stride block of the processing order, salted with
+        the noise key — see :func:`repro.engine.segments.schedule_segment_keys`.
         Memoised in the chain memo (same lifetime and invalidation as the
         hash chain); a racing duplicate computation is benign because the
         walk is a pure function of its inputs.
         """
-        if not self.enable_segment_reuse:
+        if self._segments is None:
             return None
         noise_key = self._noise_key()
-        stride = getattr(self._backend, "fusion_stride", 1)
+        stride = self._backend.fusion_stride
 
         def _live(entry) -> bool:
             return entry is not None and entry[0]() is scheduled and entry[1] == noise_key
@@ -297,13 +301,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 self._simulator, scheduled, entry[2], salt=noise_key, stride=stride
             )
         return holder[0]
-
-    def _segment_runtime(
-        self, scheduled: ScheduledCircuit, context: ScheduleContext
-    ) -> Optional[SegmentRuntime]:
-        if not self.enable_segment_reuse:
-            return None
-        return SegmentRuntime(self._segments, self._segment_keys(scheduled, context))
 
     def _checkpoint_interval(self, num_instructions: int, state_bytes: int) -> int:
         """Checkpoint spacing such that one schedule's snapshots stay within
@@ -365,14 +362,19 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             start_depth = cursor.next_index
             self.stats.instructions_simulated += total - start_depth
 
-        segments = self._segment_runtime(scheduled, context)
+        # Only the PTM evolver's advance takes segments.
+        extra = {}
+        if self._segments is not None:
+            extra["segments"] = SegmentRuntime(
+                self._segments, self._segment_keys(scheduled, context)
+            )
         if self.enable_prefix_reuse and total > start_depth:
             interval = self._checkpoint_interval(total, int(cursor.nbytes))
             depth = start_depth
             while depth < total:
                 next_depth = min(total, depth + interval)
                 self._backend.advance(
-                    scheduled, cursor, context, stop_index=next_depth, segments=segments
+                    scheduled, cursor, context, stop_index=next_depth, **extra
                 )
                 depth = next_depth
                 if depth < total:
@@ -387,20 +389,19 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                         with self._lock:
                             self._snapshots.put(chain[depth], snapshot, snapshot.nbytes)
         else:
-            self._backend.advance(scheduled, cursor, context, segments=segments)
+            self._backend.advance(scheduled, cursor, context, **extra)
         with self._lock:
             if self.kernel == "ptm":
-                # PTM cursors count their own fused-kernel work since creation
-                # (snapshot copies restart from zero, so resumes never
-                # double-count a donor's kernels).
+                # PTM cursors count their own fused-kernel work and segment
+                # outcomes since creation (snapshot copies restart from zero,
+                # so resumes never double-count a donor's kernels).
                 self.stats.ptm_matmuls += cursor.matmuls
                 self.stats.instructions_fused += cursor.fused
-            # Instructions replayed from the segment cache skipped the
-            # schedule walk (and, on the PTM kernel, the kernel compositions)
-            # — account them as reused, like prefix-resumed instructions.
-            self.stats.segment_hits += cursor.segment_hits
-            self.stats.segment_misses += cursor.segment_misses
-            if cursor.segment_instructions:
+                self.stats.segment_hits += cursor.segment_hits
+                self.stats.segment_misses += cursor.segment_misses
+                # Instructions replayed from the segment cache skipped the
+                # schedule walk and the kernel compositions — account them
+                # as reused, like prefix-resumed instructions.
                 self.stats.instructions_reused += cursor.segment_instructions
                 self.stats.instructions_simulated -= cursor.segment_instructions
             self._results.put(fingerprint, cursor.state, int(cursor.state.data.nbytes))
@@ -841,7 +842,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 # parent resolved, whatever their environment says.
                 "kernel": self.kernel,
                 "enable_segment_reuse": self.enable_segment_reuse,
-                "segment_cache_entries": self.segment_cache_entries,
             },
             # The noise key already digests the device calibration and every
             # noise-model flag, so post-construction toggles retire the pool.
@@ -863,13 +863,15 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         """Segment keys for process-tier shard planning (see
         :func:`repro.engine.parallel.plan_shards`): items whose segments
         already sit in a worker's cache cost that worker almost nothing, so
-        the planner weighs each item by its *novel* segments."""
+        the planner weighs each item by its *novel* segments.  ``None`` when
+        the engine holds no segment cache (the dense kernel), so the planner
+        uses its prefix cost model."""
         return self._segment_keys(scheduled)
 
     def _begin_shard(self) -> None:
         """Worker-side hook invoked by :func:`repro.engine.parallel._execute_shard`
         at the start of every shard.  Resets the reuse caches (prefix
-        snapshots and segment records) so a shard's stats delta is a pure
+        snapshots and any segment records) so a shard's stats delta is a pure
         function of shard content: persistent worker processes would
         otherwise carry reuse state from earlier shards, and because the pool
         does not assign shards to workers deterministically, counters like
@@ -882,7 +884,8 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         content, and the planner never splits content-identical items."""
         with self._lock:
             self._snapshots.clear()
-            self._segments.clear()
+            if self._segments is not None:
+                self._segments.clear()
 
     def _worker_execute(self, kind: str, item, kwargs):
         from .parallel import CacheRecord
@@ -945,7 +948,8 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             self._results.clear()
             self._expectations.clear()
             self._snapshots.clear()
-            self._segments.clear()
+            if self._segments is not None:
+                self._segments.clear()
 
 
 # ----------------------------------------------------------------------------

@@ -581,7 +581,8 @@ def process_map(
         return results
 
     # Segment-aware shard costing, when the engine exposes segment keys
-    # (``None`` — no hook, or segment reuse disabled — falls back to chains).
+    # (``None`` — no hook, the dense kernel, or segment reuse disabled —
+    # falls back to chains).
     keys_of = getattr(engine, "_shard_segment_keys", None)
     segment_keys = None
     if keys_of is not None:

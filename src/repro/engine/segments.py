@@ -1,4 +1,4 @@
-"""Segment-level operator reuse for schedule evolution.
+"""Segment-level operator reuse for PTM schedule evolution.
 
 Prefix-keyed reuse (snapshots at schedule hash-chain depths) has a hard
 ceiling on sweep workloads: once two candidate schedules diverge — a DD
@@ -9,32 +9,31 @@ the H2 window-tuner sweep.
 
 Density-matrix evolution is linear: the operators a mid-schedule *segment*
 applies are a pure function of segment content, never of the state they are
-applied to.  This module therefore caches each segment's **compiled operator
-stream** — on the dense kernel the materialized ``SimOp`` payload sequence,
-on the PTM kernel the fused composed kernels of one stride block — keyed by
-a content hash of exactly the inputs that determine that stream.  A later
-schedule containing the same segment (same instructions, same entry idle
-state) *replays* the cached operators instead of re-walking the schedule:
-idle-gap analysis, channel assembly and (on the PTM kernel) the kernel
-compositions are all skipped.
+applied to.  On the PTM kernel this module therefore caches each segment's
+**compiled operator stream** — the fused composed kernels of one fusion-stride
+block — keyed by a content hash of exactly the inputs that determine that
+stream.  A later schedule containing the same segment (same instructions,
+same entry idle state) *replays* the cached kernels instead of re-walking the
+schedule: idle-gap analysis, channel assembly, PTM lookups and the kernel
+compositions are all skipped.  The dense kernel keeps prefix reuse only: there
+a replay re-applies every recorded operator, so skipping the walk alone did
+not pay (``docs/segment_reuse.md`` records the A/B).
 
 Bit-exactness contract
 ----------------------
 Replay applies the *identical* operator arrays in the *identical* order a
 cold walk applies, so states — and therefore energies — are bit-identical
 with segment reuse on or off, on every execution tier.  (Mathematically the
-segment also has a single composed superoperator; applying that one matrix
-would change the floating-point evaluation order, so the engine deliberately
+segment also has a single composed matrix; applying that one matrix would
+change the floating-point evaluation order, so the engine deliberately
 replays the recorded per-kernel stream instead.  ``docs/segment_reuse.md``
 spells out the argument; ``tests/test_segments.py`` pins both the
 bit-identity and the <= 1e-12 agreement of the explicitly composed
 operator.)
 
-Segment granularity is the evolution kernel's determinism grid: one
-instruction on the dense kernel, one ``fusion_stride`` block on the PTM
-kernel (whose fused runs never cross stride boundaries — see
-``docs/ptm.md``), so segment boundaries land exactly on the engine's
-checkpoint grid.
+A segment is one ``fusion_stride`` block of the PTM kernel, whose fused runs
+never cross stride boundaries (see ``docs/ptm.md``), so segment boundaries
+land exactly on the engine's checkpoint grid.
 
 Keying
 ------
@@ -76,6 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fingerprint import _digest, timed_instruction_token
 
 __all__ = [
+    "SEGMENT_CACHE_ENTRIES",
     "SegmentCache",
     "SegmentRecord",
     "SegmentRuntime",
@@ -88,9 +88,9 @@ def segment_spans(total: int, stride: int) -> List[Tuple[int, int]]:
     """Stride-grid segment boundaries over ``total`` instructions.
 
     ``[(0, stride), (stride, 2*stride), ..., (k*stride, total)]`` — every
-    boundary is a multiple of ``stride`` (the PTM kernel's fusion grid; 1 on
-    the dense kernel), so segments never cut a fused run and the engine's
-    stride-aligned checkpoints always land on a segment boundary.
+    boundary is a multiple of ``stride`` (the PTM kernel's fusion grid), so
+    segments never cut a fused run and the engine's stride-aligned
+    checkpoints always land on a segment boundary.
     """
     stride = max(1, int(stride))
     return [(start, min(start + stride, total)) for start in range(0, total, stride)]
@@ -143,16 +143,18 @@ def schedule_segment_keys(
     return keys
 
 
+#: Entry bound of an engine's segment cache.
+SEGMENT_CACHE_ENTRIES = 65536
+
+
 class SegmentRecord:
     """One cached segment: the compiled operator stream plus bookkeeping.
 
-    ``ops`` is kernel-specific — ``(kind, payload, positions)`` triples on
-    the dense kernel, ``(ptm, positions, fused_count)`` triples on the PTM
-    kernel — and is only ever replayed by the kernel that recorded it (the
-    engine's noise key, which salts every segment key, includes the kernel).
-    ``last_time`` holds the ``(position, end_ns)`` updates replay must apply
-    to the cursor's idle bookkeeping; ``instructions`` is the number of
-    schedule instructions the segment covers (for reuse accounting).
+    ``ops`` holds the block's flushed ``(ptm, positions, fused_count)``
+    triples in application order.  ``last_time`` holds the
+    ``(position, end_ns)`` updates replay must apply to the cursor's idle
+    bookkeeping; ``instructions`` is the number of schedule instructions the
+    segment covers (for reuse accounting).
     """
 
     __slots__ = ("ops", "last_time", "instructions")
@@ -187,7 +189,7 @@ class SegmentCache:
     success or :meth:`abandon` on failure — never neither.
     """
 
-    def __init__(self, max_entries: int = 65536):
+    def __init__(self, max_entries: int = SEGMENT_CACHE_ENTRIES):
         self.max_entries = max(1, int(max_entries))
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, SegmentRecord]" = OrderedDict()

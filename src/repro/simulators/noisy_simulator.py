@@ -74,29 +74,14 @@ class EvolutionCursor:
     ``next_index`` points at the next entry of the context's ``ordered`` list
     to process.  Cursors are cheap to copy (the density matrix dominates), so
     the engine snapshots them at instruction boundaries for prefix reuse.
-
-    ``segment_hits`` / ``segment_misses`` / ``segment_instructions`` count
-    segment-cache outcomes accumulated by segmented advances (see
-    :mod:`repro.engine.segments`); like the PTM cursor's work counters they
-    belong to one execution, so :meth:`copy` starts them at zero.
     """
 
-    __slots__ = (
-        "state",
-        "last_time",
-        "next_index",
-        "segment_hits",
-        "segment_misses",
-        "segment_instructions",
-    )
+    __slots__ = ("state", "last_time", "next_index")
 
     def __init__(self, state: DensityMatrix, last_time: Dict[int, float], next_index: int = 0):
         self.state = state
         self.last_time = last_time
         self.next_index = next_index
-        self.segment_hits = 0
-        self.segment_misses = 0
-        self.segment_instructions = 0
 
     def copy(self) -> "EvolutionCursor":
         return EvolutionCursor(self.state.copy(), dict(self.last_time), self.next_index)
@@ -156,27 +141,15 @@ class NoisySimulator:
         cursor: EvolutionCursor,
         context: Optional[ScheduleContext] = None,
         stop_index: Optional[int] = None,
-        segments=None,
     ) -> EvolutionCursor:
         """Process instructions ``cursor.next_index .. stop_index`` in place.
 
         Measurement instructions contribute their pre-readout relaxation but
         no collapse; sampling happens in :meth:`probabilities` / :meth:`counts`.
-
-        ``segments`` — a :class:`repro.engine.segments.SegmentRuntime` (or any
-        object with ``cache`` and per-instruction ``keys``) — enables
-        segment-level reuse: each instruction's compiled op list is recorded
-        in / replayed from the shared segment cache, skipping the schedule
-        walk for instructions any earlier execution already compiled.  The
-        applied operator sequence is identical either way, so results are
-        bit-identical with ``segments`` on or off.
         """
         context = context or self.prepare(scheduled)
         stop = len(context.ordered) if stop_index is None else min(stop_index, len(context.ordered))
-        if segments is not None:
-            return self._advance_segmented(scheduled, cursor, context, stop, segments)
         state = cursor.state
-
         for op in self.schedule_ops(
             scheduled, context, cursor.last_time, cursor.next_index, stop
         ):
@@ -184,61 +157,6 @@ class NoisySimulator:
                 state.apply_unitary(op.payload, op.positions)
             else:
                 state.apply_superop(op.payload.superop, op.positions)
-        cursor.next_index = stop
-        return cursor
-
-    def _advance_segmented(
-        self,
-        scheduled: ScheduledCircuit,
-        cursor: EvolutionCursor,
-        context: ScheduleContext,
-        stop: int,
-        segments,
-    ) -> EvolutionCursor:
-        """Segment-cached advance: one segment per instruction (stride 1).
-
-        A miss walks the instruction through :meth:`schedule_ops` exactly as
-        the plain path does — applying each op as it streams out — while
-        recording ``(kind, payload, positions)`` triples plus the
-        instruction's ``last_time`` updates.  A hit replays the recorded
-        triples in order and applies the recorded updates, skipping idle-gap
-        analysis and channel assembly entirely.
-        """
-        state = cursor.state
-        cache = segments.cache
-        keys = segments.keys
-        for index in range(cursor.next_index, stop):
-            record, claim = cache.acquire(keys[index])
-            if record is None:
-                ops = []
-                try:
-                    for op in self.schedule_ops(scheduled, context, cursor.last_time, index, index + 1):
-                        if op.kind == "unitary":
-                            state.apply_unitary(op.payload, op.positions)
-                        else:
-                            state.apply_superop(op.payload.superop, op.positions)
-                        ops.append((op.kind, op.payload, op.positions))
-                except BaseException:
-                    cache.abandon(keys[index], claim)
-                    raise
-                cache.fulfil(
-                    keys[index],
-                    claim,
-                    tuple(ops),
-                    _segment_last_time_updates(context.ordered[index]),
-                    1,
-                )
-                cursor.segment_misses += 1
-            else:
-                for kind, payload, positions in record.ops:
-                    if kind == "unitary":
-                        state.apply_unitary(payload, positions)
-                    else:
-                        state.apply_superop(payload.superop, positions)
-                for position, end_ns in record.last_time:
-                    cursor.last_time[position] = end_ns
-                cursor.segment_hits += 1
-                cursor.segment_instructions += record.instructions
         cursor.next_index = stop
         return cursor
 

@@ -175,19 +175,10 @@ class VQE:
     # ------------------------------------------------------------------
     # Drivers
     # ------------------------------------------------------------------
-    def run_ideal(
-        self, initial_point: Optional[Sequence[float]] = None, batched: bool = False
-    ) -> VQEResult:
-        """Tune angles against the ideal simulator (the paper's default).
-
-        ``batched=True`` hands the optimizer the batch-capable objective
-        (:meth:`ideal_batch_objective`); batch-aware optimizers then submit
-        each step's evaluations as one engine batch.  Values are identical
-        either way — exact expectations carry no randomness.
-        """
+    def run_ideal(self, initial_point: Optional[Sequence[float]] = None) -> VQEResult:
+        """Tune angles against the ideal simulator (the paper's default)."""
         point = np.asarray(initial_point, dtype=float) if initial_point is not None else self.initial_point()
-        objective = self.ideal_batch_objective() if batched else self.ideal_objective
-        result = self.optimizer.minimize(objective, point)
+        result = self.optimizer.minimize(self.ideal_objective, point)
         return self._to_vqe_result(result, "ideal")
 
     def run_noisy(
@@ -197,19 +188,9 @@ class VQE:
         shots: Optional[int] = None,
         use_mem: bool = False,
         initial_point: Optional[Sequence[float]] = None,
-        batched: bool = False,
     ) -> VQEResult:
-        """Tune angles directly against the noisy machine model.
-
-        ``batched=True`` routes evaluations through
-        :meth:`noisy_batch_objective_factory` (engine-batched submissions with
-        content-derived sampling seeds) instead of the per-call serial
-        objective.
-        """
-        if batched:
-            objective = self.noisy_batch_objective_factory(device, noise_model, shots, use_mem)
-        else:
-            objective = self.noisy_objective_factory(device, noise_model, shots, use_mem)
+        """Tune angles directly against the noisy machine model."""
+        objective = self.noisy_objective_factory(device, noise_model, shots, use_mem)
         point = np.asarray(initial_point, dtype=float) if initial_point is not None else self.initial_point()
         result = self.optimizer.minimize(objective, point)
         return self._to_vqe_result(result, "noisy")

@@ -52,13 +52,6 @@ class TestIdealBatchObjective:
         assert batched.optimal_value == serial.optimal_value
         assert batched.num_evaluations == serial.num_evaluations
 
-    def test_run_ideal_batched_flag(self, tfim_vqe):
-        initial = tfim_vqe.initial_point()
-        serial = tfim_vqe.run_ideal(initial_point=initial)
-        batched = tfim_vqe.run_ideal(initial_point=initial, batched=True)
-        assert batched.optimal_value == serial.optimal_value
-        assert np.array_equal(batched.optimal_parameters, serial.optimal_parameters)
-
 
 class TestNoisyBatchObjective:
     @pytest.fixture(scope="class")

@@ -3,13 +3,15 @@
 The H2 window-tuner sweep is the workload the engine's reuse machinery was
 built for; its reuse fraction is recorded in ``BENCH_engine.json``
 (``h2_window_tuner.reuse_fraction``) and must not silently regress.  These
-tests replay the benchmark's sweep configuration and pin two facts:
+tests replay the benchmark's sweep configuration and pin three facts:
 
-* with segment-level reuse on, the sweep's reuse fraction clears the
-  ``> 0.53`` floor — the ceiling PR 5's oracle measured for *prefix-only*
-  reuse, which segment replay exists to break (the recorded value is ~0.87;
-  raise the floor when the recorded value improves), and segment replay
+* on the PTM kernel, where segment replay runs, the sweep's reuse fraction
+  clears the ``> 0.53`` floor — the ceiling an oracle measured for
+  *prefix-only* reuse, which segment replay exists to break (the measured
+  value is ~0.72; raise the floor when it improves), and segment replay
   leaves the tuned energy bit-identical;
+* the dense kernel reuses prefixes only: its sweep counts no segments,
+  keeps every prefix resume and hands the shard planner no segment keys;
 * the tuned energy is bit-identical across serial, thread and process
   tiers, and the counters honour each tier's determinism contract.  Serial
   and process repeat runs report *identical* stats (serial trivially;
@@ -36,8 +38,13 @@ from repro.vaqem import IndependentWindowTuner, TuningBudget
 from repro.vqe import ExpectationEstimator, get_application
 
 #: The prefix-only reuse ceiling measured by PR 5's oracle on this sweep.
-#: Segment replay must stay strictly above it (recorded value ~0.87).
+#: PTM segment replay must stay strictly above it (measured value ~0.72).
 REUSE_FLOOR = 0.53
+
+#: The dense kernel's prefix-only reuse on the full sweep: resumes and the
+#: reuse fraction it reached with segment replay switched off.
+DENSE_PREFIX_RESUMES = 53
+DENSE_REUSE_FRACTION = 0.4454
 
 #: Full benchmark budget — used for the recorded-baseline guards.
 FULL_BUDGET = dict(dd_resolution=4, gs_resolution=4, max_windows=10)
@@ -64,6 +71,7 @@ def _run_sweep(
     device,
     compiled,
     *,
+    kernel="ptm",
     enable_segment_reuse=True,
     budget=FULL_BUDGET,
     parallelism=None,
@@ -73,6 +81,7 @@ def _run_sweep(
     engine = NoisyDensityMatrixEngine(
         noise_model,
         seed=11,
+        kernel=kernel,
         enable_segment_reuse=enable_segment_reuse,
     )
     estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
@@ -121,6 +130,24 @@ def test_segment_reuse_is_bitwise_transparent_on_the_sweep(h2_sweep, noseg_sweep
     assert result.num_evaluations == noseg_result.num_evaluations
     assert noseg_stats.segment_hits == 0
     assert stats.reuse_fraction > noseg_stats.reuse_fraction
+
+
+def test_dense_kernel_reuses_prefixes_only(h2_sweep_inputs, h2_sweep):
+    # The dense kernel holds no segment cache: it counts no segments, keeps
+    # its prefix resumes, hands the shard planner no segment keys (so
+    # plan_shards uses its prefix cost model), and tunes to the PTM sweep's
+    # energy within the kernels' float tolerance.
+    application, device, compiled = h2_sweep_inputs
+    result, stats = _run_sweep(application, device, compiled, kernel="dense")
+    assert stats.segment_hits == stats.segment_misses == 0
+    assert stats.prefix_resumes == DENSE_PREFIX_RESUMES
+    assert stats.reuse_fraction == pytest.approx(DENSE_REUSE_FRACTION, abs=1e-4)
+    assert result.tuned_value == pytest.approx(h2_sweep[0].tuned_value, abs=1e-9)
+    engine = NoisyDensityMatrixEngine(NoiseModel.from_device(device), kernel="dense")
+    try:
+        assert engine._shard_segment_keys("expectation", compiled.scheduled) is None
+    finally:
+        engine.close()
 
 
 class TestTierDeterminism:

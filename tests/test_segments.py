@@ -1,16 +1,17 @@
 """Property suite for segment-level operator reuse (``repro.engine.segments``).
 
-The segment-family differential harness: seeded window-tuner-style families
+Segments run on the PTM kernel only.  The segment-family differential
+harness: seeded window-tuner-style families
 (``tests/randomized.py:segment_family`` — schedules diverging inside exactly
 one idle window) drive the three contracts
 ``docs/segment_reuse.md`` documents:
 
 * **Linearity / bit-exactness** — replaying a cached segment applies the
-  identical operator arrays in the identical order as a cold walk, so states
-  are bit-identical with the cache cold, warm, or disabled, on the dense and
-  the PTM kernel; the *explicitly composed* segment operator agrees with
-  step-wise evolution to ``<= 1e-12`` (composition reassociates the floats,
-  which is exactly why the engine replays streams instead of composing).
+  identical fused kernels in the identical order as a cold walk, so states
+  are bit-identical with the cache cold, warm, or disabled; the *explicitly
+  composed* segment operator agrees with step-wise evolution to ``<= 1e-12``
+  (composition reassociates the floats, which is exactly why the engine
+  replays streams instead of composing).
 * **Grid alignment** — segment boundaries land bitwise on the kernel's
   determinism grid: every boundary is a ``fusion_stride`` multiple, and
   off-grid stops fall back to the plain walk without perturbing results or
@@ -42,7 +43,6 @@ from repro.engine.segments import (
     segment_spans,
 )
 from repro.simulators import NoiseModel
-from repro.simulators.density_matrix import DensityMatrix
 from repro.simulators.noisy_simulator import NoisySimulator
 from repro.simulators.ptm import PauliVectorState, PTMEvolver
 
@@ -50,8 +50,8 @@ from repro.simulators.ptm import PauliVectorState, PTMEvolver
 COMPOSE_ATOL = 1e-12
 
 FAMILY_SEEDS = randomized.fuzz_seeds(4, offset=1200)
-#: Smaller circuits for the composed-operator tests (the explicit dense
-#: superoperator is (4**n, 4**n)).
+#: Smaller circuits for the composed-operator tests (the explicit composed
+#: PTM is (4**n, 4**n)).
 SMALL_SEEDS = randomized.fuzz_seeds(2, offset=1250)
 
 
@@ -73,11 +73,6 @@ def families(device):
         )
         for seed in FAMILY_SEEDS
     ]
-
-
-def dense_runtime(simulator, scheduled, context, cache):
-    keys = schedule_segment_keys(simulator, scheduled, context, salt="t", stride=1)
-    return SegmentRuntime(cache, keys)
 
 
 def ptm_runtime(evolver, scheduled, context, cache):
@@ -171,29 +166,12 @@ class TestSegmentSpans:
 # ----------------------------------------------------------------------------
 
 class TestBitExactReplay:
-    def test_dense_family_replay_from_shared_cache(self, families, noise):
+    def test_ptm_family_replay_from_shared_cache(self, families, noise):
         """Every family member, evolved against one shared segment cache —
         cold for the base, warm with its relatives' segments afterwards — is
         bit-identical to its own cache-off evolution.  Equal keys therefore
         implied equal operator streams on every collision the family
         produced."""
-        simulator = NoisySimulator(noise)
-        cache = SegmentCache()
-        for family_seed, family in zip(FAMILY_SEEDS, families):
-            for label, _, scheduled in family:
-                context = simulator.prepare(scheduled)
-                plain = simulator.begin(scheduled, context)
-                simulator.advance(scheduled, plain, context)
-                shared = simulator.begin(scheduled, context)
-                simulator.advance(
-                    scheduled, shared, context,
-                    segments=dense_runtime(simulator, scheduled, context, cache),
-                )
-                assert np.array_equal(plain.state.data, shared.state.data), (
-                    family_seed, label
-                )
-
-    def test_ptm_family_replay_from_shared_cache(self, families, noise):
         evolver = PTMEvolver(noise)
         cache = SegmentCache()
         for family_seed, family in zip(FAMILY_SEEDS, families):
@@ -216,22 +194,24 @@ class TestBitExactReplay:
                 )
 
     def test_warm_rerun_is_all_hits_and_bitwise(self, device, noise):
-        simulator = NoisySimulator(noise)
+        evolver = PTMEvolver(noise)
         scheduled = randomized.random_schedule(FAMILY_SEEDS[2], device=device)
-        context = simulator.prepare(scheduled)
+        context = evolver.prepare(scheduled)
         cache = SegmentCache()
-        runtime = dense_runtime(simulator, scheduled, context, cache)
-        cold = simulator.begin(scheduled, context)
-        simulator.advance(scheduled, cold, context, segments=runtime)
+        runtime = ptm_runtime(evolver, scheduled, context, cache)
+        cold = evolver.begin(scheduled, context)
+        evolver.advance(scheduled, cold, context, segments=runtime)
         total = len(context.ordered)
+        blocks = len(runtime.keys)
+        assert blocks == len(segment_spans(total, evolver.fusion_stride))
         distinct = len(set(runtime.keys))
-        # A schedule can repeat an identical segment (same instruction, same
-        # absolute time, same idle context); the cold run already replays the
-        # repeats, so misses count *distinct* keys.
-        assert (cold.segment_misses, cold.segment_hits) == (distinct, total - distinct)
-        warm = simulator.begin(scheduled, context)
-        simulator.advance(scheduled, warm, context, segments=runtime)
-        assert (warm.segment_misses, warm.segment_hits) == (0, total)
+        # A schedule can repeat an identical block (same instructions, same
+        # absolute times, same idle context); the cold run already replays
+        # the repeats, so misses count *distinct* keys.
+        assert (cold.segment_misses, cold.segment_hits) == (distinct, blocks - distinct)
+        warm = evolver.begin(scheduled, context)
+        evolver.advance(scheduled, warm, context, segments=runtime)
+        assert (warm.segment_misses, warm.segment_hits) == (0, blocks)
         assert warm.segment_instructions == total
         assert np.array_equal(cold.state.data, warm.state.data)
 
@@ -240,26 +220,9 @@ class TestBitExactReplay:
 # Composed segment operator vs step-wise evolution
 # ----------------------------------------------------------------------------
 
-def _composed_dense_superop(ops, num_qubits):
-    """The segment's single composed superoperator, built column by column
-    (linearity: evolve each matrix-unit basis element through the recorded
-    stream)."""
-    dim = 2 ** num_qubits
-    composed = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for column in range(dim * dim):
-        basis = np.zeros((dim, dim), dtype=complex)
-        basis[column // dim, column % dim] = 1.0
-        rho = DensityMatrix(num_qubits, basis)
-        for kind, payload, positions in ops:
-            if kind == "unitary":
-                rho.apply_unitary(payload, positions)
-            else:
-                rho.apply_superop(payload.superop, positions)
-        composed[:, column] = rho.data.reshape(-1)
-    return composed
-
-
 def _composed_ptm_matrix(ops, num_qubits):
+    """The block's single composed PTM, built column by column (linearity:
+    evolve each Pauli basis vector through the recorded stream)."""
     dim = 4 ** num_qubits
     composed = np.zeros((dim, dim))
     for column in range(dim):
@@ -275,30 +238,6 @@ class TestComposedSegmentOperator:
     composed operator, and applying it once agrees with the step-wise walk to
     ``<= 1e-12`` (bitwise is reserved for stream replay, which is what the
     engine actually does)."""
-
-    def test_dense_segments(self, device, noise):
-        simulator = NoisySimulator(noise)
-        for seed in SMALL_SEEDS:
-            scheduled = randomized.random_schedule(seed, num_qubits=3, depth=6, device=device)
-            context = simulator.prepare(scheduled)
-            cache = SegmentCache()
-            runtime = dense_runtime(simulator, scheduled, context, cache)
-            full = simulator.begin(scheduled, context)
-            simulator.advance(scheduled, full, context, segments=runtime)
-            total = len(context.ordered)
-            for index in {0, total // 2, total - 1}:
-                entry = simulator.begin(scheduled, context)
-                simulator.advance(scheduled, entry, context, stop_index=index)
-                entry_vec = entry.state.data.reshape(-1).copy()
-                record, claim = cache.acquire(runtime.keys[index])
-                assert claim is None and record is not None
-                composed = _composed_dense_superop(record.ops, scheduled.num_qubits)
-                simulator.advance(scheduled, entry, context, stop_index=index + 1)
-                stepped = entry.state.data.reshape(-1)
-                np.testing.assert_allclose(
-                    composed @ entry_vec, stepped, atol=COMPOSE_ATOL,
-                    err_msg=f"seed {seed} segment {index}",
-                )
 
     def test_ptm_blocks(self, device, noise):
         evolver = PTMEvolver(noise)
@@ -479,8 +418,8 @@ class TestSegmentCache:
 
 class TestEngineSegmentReuse:
     def test_family_sweep_bit_identical_with_cache_off(self, families, noise):
-        on = NoisyDensityMatrixEngine(noise, seed=3)
-        off = NoisyDensityMatrixEngine(noise, seed=3, enable_segment_reuse=False)
+        on = NoisyDensityMatrixEngine(noise, seed=3, kernel="ptm")
+        off = NoisyDensityMatrixEngine(noise, seed=3, kernel="ptm", enable_segment_reuse=False)
         try:
             for family_seed, family in zip(FAMILY_SEEDS, families):
                 for label, _, scheduled in family:
@@ -497,7 +436,7 @@ class TestEngineSegmentReuse:
 
     def test_counters_deterministic_across_reruns(self, families, noise):
         def sweep():
-            engine = NoisyDensityMatrixEngine(noise, seed=3)
+            engine = NoisyDensityMatrixEngine(noise, seed=3, kernel="ptm")
             try:
                 for family in families:
                     for _, _, scheduled in family:
@@ -509,7 +448,7 @@ class TestEngineSegmentReuse:
         assert sweep() == sweep()
 
     def test_clear_caches_resets_segment_store(self, families, noise):
-        engine = NoisyDensityMatrixEngine(noise, seed=3)
+        engine = NoisyDensityMatrixEngine(noise, seed=3, kernel="ptm")
         try:
             _, _, scheduled = families[0][0]
             engine.run(scheduled)
