@@ -9,12 +9,11 @@ Each benchmark's underlying sweep runs with deliberately small parameters
 under a minute.  The driver measures per-benchmark wall-clock, collects the
 execution engine's cache/prefix-reuse counters from every pipeline run,
 re-times the H2 window-tuner sweep through the sequential (no cache, no
-prefix reuse) path, the batched engine path on every execution tier, and the
-pipelined async-submission path, times two concurrent estimator
-frontends sharing one engine through the slot scheduler against a serial
-FIFO drain, and compares the dense and PTM simulation kernels on identical
-inputs (``docs/ptm.md``), so future perf PRs have a machine-readable
-trajectory (``BENCH_engine.json``) to compare against.
+prefix reuse) path and the pipelined engine path on every execution tier,
+times two concurrent estimator frontends sharing one engine through the
+slot scheduler against a serial FIFO drain, and compares the dense and PTM
+simulation kernels on identical inputs (``docs/ptm.md``), so future perf PRs
+have a machine-readable trajectory (``BENCH_engine.json``) to compare against.
 ``docs/benchmarks.md`` explains every leg.
 """
 
@@ -78,18 +77,33 @@ def _smoke_runners():
 _PARALLEL_WORKERS = 4
 
 
+def _engine_objective(estimator, hamiltonian, **tier):
+    """The window tuner's objective on ``estimator``'s engine: one future per
+    schedule, submitted through the slot scheduler on the given tier."""
+
+    def objective(schedules):
+        return [
+            future.map(lambda result: result.value)
+            for future in estimator.submit_batch(schedules, hamiltonian, **tier)
+        ]
+
+    return objective
+
+
 def _h2_tuner_comparison():
     """Time the H2 window-tuner sweep across every execution tier.
 
-    Five legs tune from the same compiled schedule: the legacy *sequential*
-    path (no result cache, no prefix reuse — what the pre-engine code did),
-    the batched engine path in its *serial*, *thread* and *process*
-    tiers, and the *pipelined* leg — asynchronous submission over the
-    process tier, where the tuner builds window N+1's candidates while
-    window N's execute (``docs/async.md``).  With ``shots=None`` the tuned
-    energies of all five legs must agree bit for bit (the engine acceptance
-    criterion); only wall-clock may differ.
+    Four legs tune from the same compiled schedule: the legacy *sequential*
+    path (one blocking ``estimate`` call per candidate, no result cache, no
+    prefix reuse — what the pre-engine code did), and the engine path in its
+    *serial*, *thread* and *process* tiers, where the tuner submits each
+    sweep asynchronously and builds window N+1's candidates while window N's
+    execute (``docs/async.md``).  With ``shots=None`` the tuned energies of
+    all four legs must agree bit for bit (the engine acceptance criterion);
+    only wall-clock may differ.
     """
+    from concurrent.futures import Future
+
     from repro.engine import NoisyDensityMatrixEngine
     from repro.simulators import NoiseModel
     from repro.transpiler import transpile
@@ -105,13 +119,12 @@ def _h2_tuner_comparison():
     device = application.device()
     compiled = transpile(circuit, device)
     budget = TuningBudget(dd_resolution=4, gs_resolution=4, max_windows=10)
+    hamiltonian = application.hamiltonian
 
     def tune(leg: str):
         # A fresh noise model per leg: otherwise the legs timed later would
         # inherit the first leg's warmed channel cache and bias the speedups.
         batched = leg != "sequential"
-        pipelined = leg == "pipelined"
-        tier = "process" if pipelined else leg
         noise_model = NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(
             noise_model,
@@ -120,43 +133,21 @@ def _h2_tuner_comparison():
             result_cache_bytes=(256 << 20) if batched else 0,
         )
         estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
-        tuner = IndependentWindowTuner(
-            objective=lambda s: estimator.estimate(s, application.hamiltonian).value,
-            budget=budget,
-            batch_objective=(
-                (
-                    lambda ss: [
-                        r.value
-                        for r in estimator.estimate_batch(
-                            ss,
-                            application.hamiltonian,
-                            max_workers=_PARALLEL_WORKERS,
-                            parallelism=tier,
-                        )
-                    ]
-                )
-                if batched and not pipelined
-                else None
-            ),
-            # The pipelined leg submits through the async layer: candidate
-            # generation for the next window overlaps execution of the
-            # current one on the same process tier (docs/async.md).
-            async_batch_objective=(
-                (
-                    lambda ss: [
-                        future.map(lambda r: r.value)
-                        for future in estimator.submit_batch(
-                            ss,
-                            application.hamiltonian,
-                            max_workers=_PARALLEL_WORKERS,
-                            parallelism=tier,
-                        )
-                    ]
-                )
-                if pipelined
-                else None
-            ),
-        )
+        if batched:
+            objective = _engine_objective(
+                estimator, hamiltonian, max_workers=_PARALLEL_WORKERS, parallelism=leg
+            )
+        else:
+
+            def objective(schedules):
+                futures = []
+                for scheduled in schedules:
+                    future = Future()
+                    future.set_result(estimator.estimate(scheduled, hamiltonian).value)
+                    futures.append(future)
+                return futures
+
+        tuner = IndependentWindowTuner(objective, budget=budget)
         start = time.perf_counter()
         result = tuner.tune(compiled.scheduled, compiled.idle_windows)
         elapsed = time.perf_counter() - start
@@ -167,13 +158,11 @@ def _h2_tuner_comparison():
     serial_s, serial, engine = tune("serial")
     thread_s, thread, _ = tune("thread")
     process_s, process, _ = tune("process")
-    pipelined_s, pipelined, _ = tune("pipelined")
     energies = {
         "sequential": sequential.tuned_value,
         "serial": serial.tuned_value,
         "thread": thread.tuned_value,
         "process": process.tuned_value,
-        "pipelined": pipelined.tuned_value,
     }
     return {
         "sequential_seconds": sequential_s,
@@ -202,11 +191,7 @@ def _h2_tuner_comparison():
             "serial_seconds": serial_s,
             "thread_seconds": thread_s,
             "process_seconds": process_s,
-            "pipelined_seconds": pipelined_s,
             "process_vs_thread_speedup": thread_s / process_s if process_s else float("inf"),
-            "pipelined_vs_process_speedup": (
-                process_s / pipelined_s if pipelined_s else float("inf")
-            ),
             "tuned_energies": energies,
         },
     }
@@ -421,12 +406,7 @@ def _ptm_kernel_comparison():
         engine = NoisyDensityMatrixEngine(noise_model, seed=11, kernel=kernel)
         estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
         tuner = IndependentWindowTuner(
-            objective=lambda s: estimator.estimate(s, application.hamiltonian).value,
-            budget=budget,
-            batch_objective=lambda ss: [
-                r.value
-                for r in estimator.estimate_batch(ss, application.hamiltonian)
-            ],
+            _engine_objective(estimator, application.hamiltonian), budget=budget
         )
         start = time.perf_counter()
         result = tuner.tune(compiled.scheduled, compiled.idle_windows)
@@ -652,11 +632,7 @@ def _segment_reuse_leg():
         )
         estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
         tuner = IndependentWindowTuner(
-            objective=lambda s: estimator.estimate(s, application.hamiltonian).value,
-            budget=budget,
-            batch_objective=lambda ss: [
-                r.value for r in estimator.estimate_batch(ss, application.hamiltonian)
-            ],
+            _engine_objective(estimator, application.hamiltonian), budget=budget
         )
         start = time.perf_counter()
         result = tuner.tune(compiled.scheduled, compiled.idle_windows)
@@ -1019,10 +995,8 @@ def main() -> None:
             f"[run_all] h2 tuner tiers ({parallel['workers']} workers, "
             f"{parallel['cpu_count']} cores): serial {parallel['serial_seconds']:.2f}s, "
             f"thread {parallel['thread_seconds']:.2f}s, "
-            f"process {parallel['process_seconds']:.2f}s, "
-            f"pipelined {parallel['pipelined_seconds']:.2f}s "
-            f"(process vs thread: {parallel['process_vs_thread_speedup']:.2f}x, "
-            f"pipelined vs process: {parallel['pipelined_vs_process_speedup']:.2f}x)"
+            f"process {parallel['process_seconds']:.2f}s "
+            f"(process vs thread: {parallel['process_vs_thread_speedup']:.2f}x)"
         )
 
     # The concurrent-frontends leg (docs/scheduler.md): guarded like the

@@ -17,9 +17,9 @@ pipeline routes every machine execution through a shared
 sweeps fast.  Batch methods also take ``parallelism="serial" | "thread" |
 "process"`` (plus ``max_workers``) to fan a sweep out across cores with
 bit-identical results; ``VAQEMConfig(parallelism="process")`` does the same
-for a whole pipeline, and ``VAQEMConfig(pipelined=True)`` (the default)
-additionally overlaps each window sweep's candidate generation with
-execution.
+for a whole pipeline, whose window tuner always overlaps each window sweep's
+candidate generation with execution: its one objective,
+``VAQEMPipeline.make_objective()``, returns futures.
 
 The full design is documented in ``docs/architecture.md`` (layers, caching,
 prefix reuse, the multi-core worker protocol), ``docs/async.md`` (the

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..exceptions import VAQEMError
-from ..mitigation.dd import DD_SEQUENCES, DDConfig
+from ..mitigation.dd import DDConfig
 from ..mitigation.gate_scheduling import GSConfig
 
 
@@ -49,14 +49,9 @@ class TuningBudget:
 
 @dataclass
 class VAQEMConfig:
-    """Top-level configuration of a VAQEM run."""
+    """Top-level configuration of a VAQEM run (the strategy name picks the
+    tuned techniques and DD sequence)."""
 
-    #: Whether single-qubit gate scheduling is tuned.
-    tune_gate_scheduling: bool = True
-    #: Whether DD insertion is tuned.
-    tune_dd: bool = True
-    #: Base DD sequence ("xy4" is the paper's best performer, "xx" the simplest).
-    dd_sequence: str = "xy4"
     #: Sweep budget per window.
     budget: TuningBudget = field(default_factory=TuningBudget)
     #: Shots per objective evaluation (None = exact expectation, i.e. the
@@ -69,7 +64,7 @@ class VAQEMConfig:
     angle_tuning_iterations: int = 200
     #: Random seed for the whole flow.
     seed: int = 11
-    #: Execution tier for the tuner's batched sweeps: ``"serial"``,
+    #: Execution tier for every machine execution: ``"serial"``,
     #: ``"thread"`` or ``"process"`` (``None`` keeps the engine's serial
     #: default).  The process tier scales the sweeps across cores while the
     #: tuned energies stay bit-identical at ``shots=None`` — see
@@ -77,18 +72,8 @@ class VAQEMConfig:
     parallelism: Optional[str] = None
     #: Worker cap for the thread/process tiers (``None`` = one per core).
     max_workers: Optional[int] = None
-    #: Whether the window tuner pipelines its sweeps through the engine's
-    #: asynchronous ``submit`` API: window *N+1*'s candidate schedules are
-    #: built while window *N*'s execute (see ``docs/async.md``).  Tuned
-    #: energies are bit-identical either way; disable only to debug with a
-    #: strictly single-threaded execution order.
-    pipelined: bool = True
 
     def __post_init__(self):
-        if self.dd_sequence not in DD_SEQUENCES:
-            raise VAQEMError(f"unknown DD sequence '{self.dd_sequence}'")
-        if not (self.tune_gate_scheduling or self.tune_dd):
-            raise VAQEMError("at least one mitigation technique must be tuned")
         if self.parallelism is not None:
             from ..engine.parallel import PARALLELISM_MODES
 
@@ -97,11 +82,3 @@ class VAQEMConfig:
                     f"unknown parallelism mode '{self.parallelism}' "
                     f"(expected one of {PARALLELISM_MODES})"
                 )
-
-    def describe(self) -> str:
-        parts = []
-        if self.tune_gate_scheduling:
-            parts.append("GS")
-        if self.tune_dd:
-            parts.append(self.dd_sequence.upper())
-        return "VAQEM:" + "+".join(parts)

@@ -204,55 +204,19 @@ class VAQEMPipeline:
         )
 
     def make_objective(self, use_mem: Optional[bool] = None):
-        """An objective callable ``ScheduledCircuit -> energy`` on the noisy machine."""
-        estimator = self._make_estimator(use_mem)
-        hamiltonian = self.application.hamiltonian
+        """The objective ``[ScheduledCircuit] -> [future of energy]`` on the noisy
+        machine: every tuner sweep and strategy evaluation runs through it.
 
-        def objective(scheduled: ScheduledCircuit) -> float:
-            return estimator.estimate(scheduled, hamiltonian).value
-
-        return objective
-
-    def make_batch_objective(self, use_mem: Optional[bool] = None):
-        """A batched objective ``[ScheduledCircuit] -> [energy]``.
-
-        This is the path the window tuner sweeps run through: the shared
-        engine resolves duplicates from its result cache and simulates the
-        remaining candidates from their deepest common-prefix snapshots.
-        ``config.parallelism`` / ``config.max_workers`` select the execution
-        tier each sweep fans out on — with ``"process"`` the candidates are
-        sharded across worker processes along their prefix-reuse chains and
-        the workers' results repopulate the shared engine's caches.
+        The schedules queue on the shared engine's slot scheduler, which
+        resolves duplicates from its caches and simulates the rest from their
+        deepest common-prefix snapshots, on the tier ``config.parallelism`` /
+        ``config.max_workers`` select — with ``"process"`` the candidates are
+        sharded across worker processes along their prefix-reuse chains.
         """
         estimator = self._make_estimator(use_mem)
         hamiltonian = self.application.hamiltonian
 
-        def batch_objective(schedules: Sequence[ScheduledCircuit]) -> List[float]:
-            results = estimator.estimate_batch(
-                schedules,
-                hamiltonian,
-                max_workers=self.config.max_workers,
-                parallelism=self.config.parallelism,
-            )
-            return [r.value for r in results]
-
-        return batch_objective
-
-    def make_async_batch_objective(self, use_mem: Optional[bool] = None):
-        """A futures-returning objective ``[ScheduledCircuit] -> [EngineFuture]``.
-
-        This is what lets the window tuner *pipeline* its sweeps
-        (``config.pipelined``, the default): candidates are queued on the
-        shared engine's slot scheduler and execute — on whichever tier
-        ``config.parallelism`` selects — while the tuner builds the next
-        window's candidates.  Each future resolves to the candidate's energy;
-        per the engine seeding contract the values are bit-identical to the
-        blocking batch objective.
-        """
-        estimator = self._make_estimator(use_mem)
-        hamiltonian = self.application.hamiltonian
-
-        def async_batch_objective(schedules: Sequence[ScheduledCircuit]):
+        def objective(schedules: Sequence[ScheduledCircuit]):
             futures = estimator.submit_batch(
                 schedules,
                 hamiltonian,
@@ -261,13 +225,13 @@ class VAQEMPipeline:
             )
             return [future.map(lambda result: result.value) for future in futures]
 
-        return async_batch_objective
+        return objective
 
     # ------------------------------------------------------------------
     # Strategy evaluation
     # ------------------------------------------------------------------
     def _evaluate_schedule(self, scheduled: ScheduledCircuit, use_mem: bool) -> float:
-        return float(self.make_objective(use_mem=use_mem)(scheduled))
+        return float(self.make_objective(use_mem)([scheduled])[0].result())
 
     def evaluate_strategy(self, strategy: str) -> StrategyOutcome:
         """Evaluate one of the paper's comparison strategies."""
@@ -313,10 +277,6 @@ class VAQEMPipeline:
             tune_dd=tune_dd,
             dd_sequence=sequence,
             budget=self.config.budget,
-            batch_objective=self.make_batch_objective(use_mem=True),
-            async_batch_objective=(
-                self.make_async_batch_objective(use_mem=True) if self.config.pipelined else None
-            ),
         )
         return tuner.tune(scheduled, list(windows))
 

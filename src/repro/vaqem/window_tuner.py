@@ -9,24 +9,23 @@ single-qubit gates inside idle windows, whose cross-window interactions are
 negligible (§VI-C).
 
 :class:`IndependentWindowTuner` implements exactly that flow against an
-arbitrary objective callable (``ScheduledCircuit -> float``, lower is
-better), so it can minimise a VQE energy (the VAQEM use-case) or maximise a
-micro-benchmark fidelity (by passing the negated fidelity).
+objective that submits schedules and returns one future per schedule
+(``[ScheduledCircuit] -> [future]``; each future resolves to the
+schedule's objective value, lower is better), so it can minimise a VQE
+energy (the VAQEM use-case) or maximise a micro-benchmark fidelity (by
+passing the negated fidelity).  A future is anything with ``.result()``:
+an :class:`~repro.engine.futures.EngineFuture` from
+:meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch`, or an
+already resolved :class:`concurrent.futures.Future` wrapping a sequential
+evaluation.
 
-Three evaluation protocols are supported, fastest last:
-
-* a scalar ``objective`` — one evaluation per candidate;
-* a ``batch_objective`` — each window sweep submitted as one blocking batch
-  (the execution-engine path, where candidates differing only inside the
-  swept window share the simulated prefix);
-* an ``async_batch_objective`` — a futures-returning submitter
-  (``[ScheduledCircuit] -> [EngineFuture]``, see
-  :mod:`repro.engine.futures`).  :meth:`IndependentWindowTuner.tune` then
-  *pipelines* the sweeps: while window *N*'s candidates execute on the
-  engine's batch scheduler, the tuner builds and submits window *N+1*'s
-  candidates, so candidate generation overlaps execution and process-tier
-  workers never sit idle between sweeps.  The engine seeding contract keeps
-  the tuned result bit-identical to the blocking protocols.
+:meth:`IndependentWindowTuner.tune` pipelines the window sweeps: while
+window *N*'s candidates execute on the engine's batch scheduler, the tuner
+builds and submits window *N+1*'s candidates, so candidate generation
+overlaps execution and process-tier workers never sit idle between
+sweeps.  Each sweep is submitted as one batch, so candidates that differ
+only inside the swept window share the simulated prefix.  The engine
+seeding contract keeps the tuned result independent of this overlap.
 """
 
 from __future__ import annotations
@@ -49,11 +48,14 @@ from ..transpiler.idle_windows import IdleWindow
 from ..transpiler.scheduling import ScheduledCircuit
 from .config import TuningBudget, WindowConfiguration
 
-Objective = Callable[[ScheduledCircuit], float]
-BatchObjective = Callable[[Sequence[ScheduledCircuit]], Sequence[float]]
-#: Futures-returning submitter: each future resolves to the candidate's
-#: objective value (an ``EngineFuture`` or anything with ``.result()``).
-AsyncBatchObjective = Callable[[Sequence[ScheduledCircuit]], Sequence]
+#: ``[ScheduledCircuit] -> [future]``: one future per schedule, each
+#: resolving to the schedule's objective value (see the module docstring).
+Objective = Callable[[Sequence[ScheduledCircuit]], Sequence]
+
+#: How many windows may have candidate batches in flight at once.  One
+#: window ahead already hides candidate generation entirely; deeper
+#: pipelines only add queue memory.
+PIPELINE_DEPTH = 2
 
 
 @dataclass
@@ -98,17 +100,18 @@ class TuningResult:
 
 
 class _PipelinedWindowSweep:
-    """In-flight tuning state of one window on the pipelined path.
+    """In-flight tuning state of one window: its sweep with all others at baseline.
 
-    A window sweep has two phases with a data dependency between them: the
-    gate-scheduling (GS) candidates are independent of everything, but the DD
-    candidates are built *on top of the best GS position*, so they can only
-    be generated once the GS futures resolved.  This object walks one window
-    through ``submit GS -> resolve GS -> submit DD -> resolve DD`` while the
-    driver keeps other windows' phases in flight around it.  The candidate
-    sets and their recording order are exactly those of the blocking
-    :meth:`IndependentWindowTuner._tune_window`, which (with the engine
-    seeding contract) makes the pipelined result bit-identical.
+    When both techniques are enabled they are tuned in a coordinated,
+    sequential manner inside the window: the best gate position is found
+    first, then DD counts are swept on top of that position (the tuner
+    keeps whichever combination minimises the objective, so destructive
+    interactions are weeded out automatically).  That is a data dependency
+    between two phases: the gate-scheduling (GS) candidates are independent
+    of everything, but the DD candidates can only be generated once the GS
+    futures resolved.  This object walks one window through ``submit GS ->
+    resolve GS -> submit DD -> resolve DD`` while the driver keeps other
+    windows' phases in flight around it.
     """
 
     def __init__(
@@ -136,6 +139,10 @@ class _PipelinedWindowSweep:
         """
         tuner = self.tuner
         if tuner.tune_gate_scheduling and movable_gate(self.scheduled, self.window) is not None:
+            # Every position is evaluated, including 1.0: the movable gate may
+            # originally sit either after the window (ALAP, where 1.0 is a
+            # near-duplicate of the baseline) or before it (where 1.0 is a
+            # genuinely new placement at the window end).
             configs = [GSConfig(position=position) for position in tuner._gs_candidates()]
             schedules = [reschedule_gate(self.scheduled, self.window, c) for c in configs]
             futures = tuner._submit_candidates(schedules)
@@ -169,6 +176,10 @@ class _PipelinedWindowSweep:
         tuner = self.tuner
         if not tuner.tune_dd:
             return
+        # Sweep DD counts on top of the best gate position and also on the
+        # untouched (ALAP) position: the two techniques can interact, and the
+        # coordinated tuning keeps whichever combination wins (including
+        # "DD only" and "GS only").
         bases = [(None, self.scheduled)]
         if best_gs is not None:
             bases.append((best_gs, reschedule_gate(self.scheduled, self.window, best_gs)))
@@ -189,7 +200,7 @@ class _PipelinedWindowSweep:
 
 
 class IndependentWindowTuner:
-    """Tunes DD and/or GS per idle window against a scalar objective."""
+    """Tunes DD and/or GS per idle window against a futures-returning objective."""
 
     def __init__(
         self,
@@ -198,80 +209,29 @@ class IndependentWindowTuner:
         tune_dd: bool = True,
         dd_sequence: str = "xy4",
         budget: Optional[TuningBudget] = None,
-        batch_objective: Optional[BatchObjective] = None,
-        async_batch_objective: Optional[AsyncBatchObjective] = None,
-        pipeline_depth: int = 2,
     ):
         if not (tune_gate_scheduling or tune_dd):
             raise VAQEMError("enable at least one of gate scheduling / DD tuning")
-        if pipeline_depth < 1:
-            raise VAQEMError("pipeline_depth must be at least 1")
         self.objective = objective
         self.tune_gate_scheduling = tune_gate_scheduling
         self.tune_dd = tune_dd
         self.dd_sequence = dd_sequence
         self.budget = budget or TuningBudget()
-        #: Optional vectorised objective (``[ScheduledCircuit] -> [float]``).
-        #: When set, each window sweep is submitted as one batch — the
-        #: execution-engine path, where candidates that only differ inside the
-        #: swept window share the simulated prefix up to that window's start.
-        self.batch_objective = batch_objective
-        #: Optional futures-returning submitter.  When set it takes precedence
-        #: over ``batch_objective`` and :meth:`tune` pipelines the window
-        #: sweeps: window *N+1*'s candidates are built and submitted while
-        #: window *N*'s execute (see the module docstring).
-        self.async_batch_objective = async_batch_objective
-        #: How many windows may have candidate batches in flight at once on
-        #: the pipelined path.  Depth 1 degenerates to the blocking schedule;
-        #: the default keeps one window ahead, which already hides candidate
-        #: generation entirely.  Deeper pipelines only add queue memory.
-        self.pipeline_depth = int(pipeline_depth)
         self._evaluations = 0
 
     # ------------------------------------------------------------------
-    def _evaluate(self, scheduled: ScheduledCircuit) -> float:
-        self._evaluations += 1
-        return float(self.objective(scheduled))
-
-    def _evaluate_batch(self, schedules: Sequence[ScheduledCircuit]) -> List[float]:
-        """Evaluate a sweep's candidates, batched when a batch objective is set."""
-        schedules = list(schedules)
-        if not schedules:
-            return []
+    def _submit_candidates(self, schedules: List[ScheduledCircuit]) -> List:
+        """Submit a sweep's candidates, counting each submission as one
+        evaluation (futures always resolve or raise)."""
         self._evaluations += len(schedules)
-        if self.batch_objective is not None:
-            values = [float(v) for v in self.batch_objective(schedules)]
-            if len(values) != len(schedules):
-                raise VAQEMError("batch objective returned a mismatched number of values")
-            return values
-        return [float(self.objective(scheduled)) for scheduled in schedules]
-
-    def _submit_candidates(self, schedules: Sequence[ScheduledCircuit]) -> List:
-        """Submit a sweep's candidates through the async protocol, counting
-        each submission as one evaluation (futures always resolve or raise)."""
-        schedules = list(schedules)
-        if not schedules:
-            return []
-        self._evaluations += len(schedules)
-        futures = list(self.async_batch_objective(schedules))
+        futures = list(self.objective(schedules))
         if len(futures) != len(schedules):
-            raise VAQEMError("async batch objective returned a mismatched number of futures")
+            raise VAQEMError("objective returned a mismatched number of futures")
         return futures
 
     def _evaluate_one(self, scheduled: ScheduledCircuit) -> float:
-        """One evaluation through whichever protocol the tuner is using.
-
-        With a batch (or async batch) objective set, *every* value the tuner
-        compares — baseline, sweep candidates and greedy re-validations —
-        goes through that path, so under finite shots all values are sampled
-        under the same (content-seeded) protocol and comparisons stay
-        consistent.
-        """
-        if self.async_batch_objective is not None:
-            return float(self._submit_candidates([scheduled])[0].result())
-        if self.batch_objective is not None:
-            return self._evaluate_batch([scheduled])[0]
-        return self._evaluate(scheduled)
+        """One blocking evaluation: the baseline or a greedy re-validation."""
+        return float(self._submit_candidates([scheduled])[0].result())
 
     def _dd_candidates(self, window: IdleWindow, scheduled: ScheduledCircuit) -> List[int]:
         """DD sequence counts to sweep for a window (always includes 0)."""
@@ -297,55 +257,6 @@ class IndependentWindowTuner:
             selected = selected[: self.budget.max_windows]
         return sorted(selected, key=lambda w: w.index)
 
-    def _tune_window(
-        self, scheduled: ScheduledCircuit, window: IdleWindow, baseline_value: float
-    ) -> WindowSweepRecord:
-        """Sweep one window's configuration with all others at baseline.
-
-        When both techniques are enabled they are tuned in a coordinated,
-        sequential manner inside the window: the best gate position is found
-        first, then DD counts are swept on top of that position (the tuner
-        keeps whichever combination minimises the objective, so destructive
-        interactions are weeded out automatically).
-        """
-        record = WindowSweepRecord(window=window)
-        baseline_config = WindowConfiguration(window.index)
-        record.record(baseline_config, baseline_value)
-
-        best_gs: Optional[GSConfig] = None
-        if self.tune_gate_scheduling and movable_gate(scheduled, window) is not None:
-            # Every position is evaluated, including 1.0: the movable gate may
-            # originally sit either after the window (ALAP, where 1.0 is a
-            # near-duplicate of the baseline) or before it (where 1.0 is a
-            # genuinely new placement at the window end).
-            configs = [GSConfig(position=position) for position in self._gs_candidates()]
-            schedules = [reschedule_gate(scheduled, window, config) for config in configs]
-            for config, value in zip(configs, self._evaluate_batch(schedules)):
-                record.record(WindowConfiguration(window.index, gs=config), value)
-            if record.best is not None and record.best.gs is not None:
-                best_gs = record.best.gs
-
-        if self.tune_dd:
-            # Sweep DD counts on top of the best gate position found above and
-            # also on the untouched (ALAP) position: the two techniques can
-            # interact, and the coordinated tuning keeps whichever combination
-            # wins (including "DD only" and "GS only").
-            bases = [(None, scheduled)]
-            if best_gs is not None:
-                bases.append((best_gs, reschedule_gate(scheduled, window, best_gs)))
-            candidates: List[WindowConfiguration] = []
-            schedules = []
-            for gs_config, base_schedule in bases:
-                for count in self._dd_candidates(window, scheduled):
-                    if count == 0:
-                        continue  # baseline already recorded
-                    dd_config = DDConfig(self.dd_sequence, count)
-                    candidates.append(WindowConfiguration(window.index, dd=dd_config, gs=gs_config))
-                    schedules.append(insert_dd_sequences(base_schedule, window, dd_config))
-            for candidate, value in zip(candidates, self._evaluate_batch(schedules)):
-                record.record(candidate, value)
-        return record
-
     # ------------------------------------------------------------------
     def tune(self, scheduled: ScheduledCircuit, windows: Sequence[IdleWindow]) -> TuningResult:
         """Tune every (selected) window independently and combine the optima.
@@ -362,13 +273,7 @@ class IndependentWindowTuner:
         """
         self._evaluations = 0
         baseline_value = self._evaluate_one(scheduled)
-        selected = self._select_windows(windows)
-        if self.async_batch_objective is not None:
-            records = self._tune_windows_pipelined(scheduled, selected, baseline_value)
-        else:
-            records = [
-                self._tune_window(scheduled, window, baseline_value) for window in selected
-            ]
+        records = self._sweep_windows(scheduled, self._select_windows(windows), baseline_value)
 
         improving = [
             r
@@ -398,7 +303,7 @@ class IndependentWindowTuner:
         )
 
     # ------------------------------------------------------------------
-    def _tune_windows_pipelined(
+    def _sweep_windows(
         self,
         scheduled: ScheduledCircuit,
         windows: Sequence[IdleWindow],
@@ -406,12 +311,11 @@ class IndependentWindowTuner:
     ) -> List[WindowSweepRecord]:
         """Producer/consumer sweep over the selected windows.
 
-        Up to :attr:`pipeline_depth` windows have candidate batches queued on
-        the async submitter at once: while the engine's scheduler executes
-        the front window's batch, this thread builds (reschedules, inserts DD
+        Up to :data:`PIPELINE_DEPTH` windows have candidate batches queued on
+        the objective at once: while the engine's scheduler executes the
+        front window's batch, this thread builds (reschedules, inserts DD
         into) and submits the following windows' candidates.  Sweep records
-        are collected in window order regardless of completion order, and per
-        the seeding contract they are value-identical to the blocking loop's.
+        are collected in window order regardless of completion order.
         (On a shared engine the tuner's own batches stay FIFO — one
         submitter — and deep prefix sharing with its base schedule
         additionally serializes them against lookalike work, while *other*
@@ -422,7 +326,7 @@ class IndependentWindowTuner:
         in_flight: "deque[_PipelinedWindowSweep]" = deque()
         records: List[WindowSweepRecord] = []
         while remaining or in_flight:
-            while remaining and len(in_flight) < self.pipeline_depth:
+            while remaining and len(in_flight) < PIPELINE_DEPTH:
                 sweep = _PipelinedWindowSweep(self, scheduled, remaining.popleft(), baseline_value)
                 sweep.submit_first()
                 in_flight.append(sweep)

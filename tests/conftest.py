@@ -8,6 +8,7 @@ exercised once in the integration tests with reduced tuning budgets.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -69,3 +70,26 @@ def scheduled_su2_4q(device):
     bound = ansatz.bind_parameters(rng.uniform(-math.pi, math.pi, ansatz.num_parameters))
     bound.measure_all()
     return transpile(bound, device)
+
+
+@pytest.fixture(scope="session")
+def sequential_objective():
+    """The window tuner's sequential reference objective.
+
+    ``sequential_objective(estimator, hamiltonian)`` evaluates each schedule
+    with a blocking :meth:`ExpectationEstimator.estimate` call and hands the
+    value back in an already resolved :class:`concurrent.futures.Future`.
+    """
+
+    def make(estimator, hamiltonian):
+        def objective(schedules):
+            futures = []
+            for scheduled in schedules:
+                future = Future()
+                future.set_result(estimator.estimate(scheduled, hamiltonian).value)
+                futures.append(future)
+            return futures
+
+        return objective
+
+    return make

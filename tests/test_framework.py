@@ -101,3 +101,19 @@ class TestStrategies:
     def test_mem_baseline_is_not_catastrophically_bad(self, run_result, small_application):
         fraction = run_result.energies["mem"] / small_application.exact_ground_energy()
         assert 0.0 < fraction <= 1.0
+
+
+def test_mem_energy_is_the_tuners_baseline_under_shots(small_application):
+    """Under finite shots every strategy is scored through the same
+    content-seeded objective as the tuner, so "improvement over MEM"
+    compares the tuned value with the baseline the tuner itself measured."""
+    config = VAQEMConfig(
+        angle_tuning_iterations=20, budget=TuningBudget(3, 3, 3), seed=5, shots=256
+    )
+    pipeline = VAQEMPipeline(small_application, config)
+    try:
+        result = pipeline.run(("mem", "vaqem_xy", "vaqem_gs_xy"))
+    finally:
+        pipeline.engine.close()
+    for strategy in ("vaqem_xy", "vaqem_gs_xy"):
+        assert result.energies["mem"] == result.tuning_results[strategy].baseline_value

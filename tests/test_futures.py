@@ -10,7 +10,8 @@ Covers the guarantees ``docs/async.md`` promises:
   from their batch), running/resolved futures refuse;
 * stats/cache merge correctness with two batches in flight on one engine;
 * the pipelined window tuner — identical tuning outcome, including the
-  per-window candidate/value traces, versus the blocking protocols;
+  per-window candidate/value traces, versus the sequential reference
+  (already resolved futures over ``ExpectationEstimator.estimate``);
 * scheduler lifecycle — close() drains pending batches, engines are
   reusable afterwards.
 
@@ -436,83 +437,49 @@ class TestExpectationsOnlyIPC:
 # ----------------------------------------------------------------------------
 
 class TestPipelinedTuner:
-    def _tune(self, device_noise, compiled, tfim4, protocol, pipeline_depth=2):
-        estimator = ExpectationEstimator(device_noise, seed=9)
-        budget = TuningBudget(dd_resolution=2, gs_resolution=2, max_windows=3)
-        kwargs = {}
-        if protocol == "async":
-            kwargs["async_batch_objective"] = lambda ss: [
-                future.map(lambda r: r.value)
-                for future in estimator.submit_batch(ss, tfim4)
-            ]
-            kwargs["pipeline_depth"] = pipeline_depth
-        elif protocol == "batch":
-            kwargs["batch_objective"] = lambda ss: [
-                r.value for r in estimator.estimate_batch(ss, tfim4)
-            ]
-        tuner = IndependentWindowTuner(
-            objective=lambda s: estimator.estimate(s, tfim4).value,
-            budget=budget,
-            **kwargs,
-        )
-        outcome = tuner.tune(compiled.scheduled, compiled.idle_windows)
-        estimator.engine.close()
-        return outcome
-
-    @pytest.mark.parametrize("depth", (1, 2, 4))
-    def test_pipelined_tuner_matches_blocking(self, device_noise, sweep_schedules, tfim4, depth):
+    @pytest.mark.parametrize(
+        "tune_gate_scheduling, dd_resolution", ((True, 2), (False, 3)), ids=("gs_dd", "dd_only")
+    )
+    def test_engine_objective_matches_sequential_reference(
+        self,
+        device_noise,
+        sweep_schedules,
+        tfim4,
+        sequential_objective,
+        tune_gate_scheduling,
+        dd_resolution,
+    ):
+        """Engine futures, pipelined over the slot scheduler, tune exactly as
+        sequential ``estimate`` calls do.  Without a GS phase the DD
+        candidates submit eagerly; the outcome must still match."""
         compiled, _ = sweep_schedules
-        blocking = self._tune(device_noise, compiled, tfim4, "batch")
-        pipelined = self._tune(device_noise, compiled, tfim4, "async", pipeline_depth=depth)
-        assert pipelined.baseline_value == blocking.baseline_value
-        assert pipelined.tuned_value == blocking.tuned_value
-        assert pipelined.num_evaluations == blocking.num_evaluations
-        assert pipelined.chosen_configurations() == blocking.chosen_configurations()
-        for pipe_record, block_record in zip(pipelined.window_records, blocking.window_records):
-            assert pipe_record.window.index == block_record.window.index
-            assert pipe_record.candidates == block_record.candidates
-            assert pipe_record.values == block_record.values
-
-    def test_dd_only_pipelined_matches_blocking(self, device_noise, sweep_schedules, tfim4):
-        """Without a GS phase the DD candidates submit eagerly; the outcome
-        must still match the blocking DD-only tuner exactly."""
-        compiled, _ = sweep_schedules
-        budget = TuningBudget(dd_resolution=3, gs_resolution=2, max_windows=3)
+        budget = TuningBudget(dd_resolution=dd_resolution, gs_resolution=2, max_windows=3)
         outcomes = {}
-        for protocol in ("batch", "async"):
+        for protocol in ("sequential", "engine"):
             estimator = ExpectationEstimator(device_noise, seed=9)
-            kwargs = {}
-            if protocol == "async":
-                kwargs["async_batch_objective"] = lambda ss: [
-                    future.map(lambda r: r.value)
-                    for future in estimator.submit_batch(ss, tfim4)
-                ]
-            else:
-                kwargs["batch_objective"] = lambda ss: [
-                    r.value for r in estimator.estimate_batch(ss, tfim4)
-                ]
+            objective = {
+                "sequential": sequential_objective(estimator, tfim4),
+                "engine": lambda ss: [
+                    future.map(lambda r: r.value) for future in estimator.submit_batch(ss, tfim4)
+                ],
+            }[protocol]
             tuner = IndependentWindowTuner(
-                objective=lambda s: estimator.estimate(s, tfim4).value,
-                tune_gate_scheduling=False,
-                tune_dd=True,
-                budget=budget,
-                **kwargs,
+                objective, tune_gate_scheduling=tune_gate_scheduling, budget=budget
             )
             outcomes[protocol] = tuner.tune(compiled.scheduled, compiled.idle_windows)
             estimator.engine.close()
-        assert outcomes["async"].tuned_value == outcomes["batch"].tuned_value
-        assert outcomes["async"].num_evaluations == outcomes["batch"].num_evaluations
-        for pipe_record, block_record in zip(
-            outcomes["async"].window_records, outcomes["batch"].window_records
+        engine, sequential = outcomes["engine"], outcomes["sequential"]
+        assert engine.baseline_value == sequential.baseline_value
+        assert engine.tuned_value == sequential.tuned_value
+        assert engine.num_evaluations == sequential.num_evaluations
+        assert engine.chosen_configurations() == sequential.chosen_configurations()
+        assert len(engine.window_records) == len(sequential.window_records)
+        for engine_record, sequential_record in zip(
+            engine.window_records, sequential.window_records
         ):
-            assert pipe_record.candidates == block_record.candidates
-            assert pipe_record.values == block_record.values
-
-    def test_invalid_pipeline_depth_rejected(self):
-        from repro.exceptions import VAQEMError
-
-        with pytest.raises(VAQEMError):
-            IndependentWindowTuner(objective=lambda s: 0.0, pipeline_depth=0)
+            assert engine_record.window.index == sequential_record.window.index
+            assert engine_record.candidates == sequential_record.candidates
+            assert engine_record.values == sequential_record.values
 
 
 # ----------------------------------------------------------------------------
@@ -530,13 +497,6 @@ class TestFrontendAsyncRouting:
         assert [r.value for r in async_results] == blocking
         assert all(r.shots_per_group is None for r in async_results)
         estimator.engine.close()
-
-    def test_vaqem_pipelined_flag_matches_blocking(self, device_noise, sweep_schedules, tfim4):
-        """VAQEMConfig(pipelined=...) must not change any tuned energy."""
-        from repro.vaqem import VAQEMConfig
-
-        assert VAQEMConfig(pipelined=True).pipelined
-        assert not VAQEMConfig(pipelined=False).pipelined
 
     def test_vqe_trajectories_pipeline_bit_identical(self, device, device_noise, tfim4):
         from repro.vqe import VQE

@@ -385,14 +385,13 @@ class TestFrontendRouting:
         for mode in MODES:
             estimator = ExpectationEstimator(device_noise, seed=9)
             tuner = IndependentWindowTuner(
-                objective=lambda s: estimator.estimate(s, tfim4).value,
-                budget=budget,
-                batch_objective=lambda ss: [
-                    r.value
-                    for r in estimator.estimate_batch(
+                objective=lambda ss: [
+                    future.map(lambda r: r.value)
+                    for future in estimator.submit_batch(
                         ss, tfim4, max_workers=WORKERS, parallelism=mode
                     )
                 ],
+                budget=budget,
             )
             outcomes[mode] = tuner.tune(compiled.scheduled, compiled.idle_windows)
             estimator.engine.close()

@@ -46,4 +46,3 @@ class TestPublicAPI:
         config = repro.VAQEMConfig(budget=repro.TuningBudget(max_windows=2))
         pipeline = repro.VAQEMPipeline(application, config)
         assert pipeline.device.num_qubits == 27
-        assert pipeline.config.describe().startswith("VAQEM:")

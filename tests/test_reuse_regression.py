@@ -89,12 +89,11 @@ def _run_sweep(
         {} if parallelism is None else {"parallelism": parallelism, "max_workers": max_workers}
     )
     tuner = IndependentWindowTuner(
-        objective=lambda s: estimator.estimate(s, application.hamiltonian).value,
-        budget=TuningBudget(**budget),
-        batch_objective=lambda ss: [
-            r.value
-            for r in estimator.estimate_batch(ss, application.hamiltonian, **batch_kwargs)
+        objective=lambda ss: [
+            future.map(lambda r: r.value)
+            for future in estimator.submit_batch(ss, application.hamiltonian, **batch_kwargs)
         ],
+        budget=TuningBudget(**budget),
     )
     result = tuner.tune(compiled.scheduled, compiled.idle_windows)
     engine.close()

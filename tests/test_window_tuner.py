@@ -8,12 +8,12 @@ from repro.mitigation import DDConfig, GSConfig
 from repro.operators import PauliSum
 from repro.simulators import NoiseModel
 from repro.transpiler import find_idle_windows, schedule_circuit
-from repro.vaqem import IndependentWindowTuner, TuningBudget, VAQEMConfig, WindowConfiguration
+from repro.vaqem import IndependentWindowTuner, TuningBudget, WindowConfiguration
 from repro.vqe import ExpectationEstimator
 
 
 @pytest.fixture
-def tuning_problem(device):
+def tuning_problem(device, sequential_objective):
     """A 2-qubit schedule with two large idle windows and a ZZ-type objective."""
     circuit = QuantumCircuit(2)
     circuit.sx(0)
@@ -27,11 +27,7 @@ def tuning_problem(device):
     windows = find_idle_windows(scheduled)
     hamiltonian = PauliSum({"XI": 1.0, "IX": 1.0, "ZZ": 0.5})
     estimator = ExpectationEstimator(NoiseModel.from_device(device))
-
-    def objective(candidate):
-        return estimator.estimate(candidate, hamiltonian).value
-
-    return scheduled, windows, objective
+    return scheduled, windows, sequential_objective(estimator, hamiltonian)
 
 
 class TestConfiguration:
@@ -54,12 +50,11 @@ class TestConfiguration:
         assert not WindowConfiguration(0, dd=DDConfig("xy4", 1)).is_baseline()
         assert not WindowConfiguration(0, gs=GSConfig(0.5)).is_baseline()
 
-    def test_vaqem_config_validation(self):
-        with pytest.raises(VAQEMError):
-            VAQEMConfig(tune_gate_scheduling=False, tune_dd=False)
-        with pytest.raises(VAQEMError):
-            VAQEMConfig(dd_sequence="bad")
-        assert VAQEMConfig(tune_dd=True, tune_gate_scheduling=True).describe() == "VAQEM:GS+XY4"
+    def test_mismatched_future_count_rejected(self, tuning_problem):
+        scheduled, windows, objective = tuning_problem
+        tuner = IndependentWindowTuner(lambda schedules: objective(schedules)[:-1])
+        with pytest.raises(VAQEMError, match="mismatched number of futures"):
+            tuner.tune(scheduled, windows)
 
 
 class TestTuning:
@@ -124,7 +119,8 @@ class TestTuning:
         scheduled, windows, objective = tuning_problem
         tuner = IndependentWindowTuner(objective, budget=TuningBudget(dd_resolution=4, gs_resolution=3))
         result = tuner.tune(scheduled, windows)
-        assert objective(result.tuned_schedule) == pytest.approx(result.tuned_value)
+        (value,) = objective([result.tuned_schedule])
+        assert value.result() == pytest.approx(result.tuned_value)
 
     def test_apply_configurations_roundtrip(self, tuning_problem):
         scheduled, windows, objective = tuning_problem
