@@ -72,6 +72,16 @@ def scheduled_su2_4q(device):
     return transpile(bound, device)
 
 
+def _resolved(values):
+    """One already resolved :class:`concurrent.futures.Future` per value."""
+    futures = []
+    for value in values:
+        future = Future()
+        future.set_result(value)
+        futures.append(future)
+    return futures
+
+
 @pytest.fixture(scope="session")
 def sequential_objective():
     """The window tuner's sequential reference objective.
@@ -83,12 +93,25 @@ def sequential_objective():
 
     def make(estimator, hamiltonian):
         def objective(schedules):
-            futures = []
-            for scheduled in schedules:
-                future = Future()
-                future.set_result(estimator.estimate(scheduled, hamiltonian).value)
-                futures.append(future)
-            return futures
+            return _resolved(estimator.estimate(s, hamiltonian).value for s in schedules)
+
+        return objective
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def blocking_batch_objective():
+    """The window tuner fed by the estimator's blocking batch path.
+
+    ``blocking_batch_objective(estimator, hamiltonian)`` evaluates each
+    candidate batch with one blocking :meth:`ExpectationEstimator.estimate_batch`
+    call and hands the values back in already resolved futures.
+    """
+
+    def make(estimator, hamiltonian):
+        def objective(schedules):
+            return _resolved(r.value for r in estimator.estimate_batch(schedules, hamiltonian))
 
         return objective
 

@@ -7,9 +7,9 @@ Covers the engine parity guarantees the architecture promises:
   including under the content cache and the prefix-reuse fast path,
 * the seeding contract (content-derived sampling randomness),
 * the gate-matrix cache and the deterministic-counts satellite features,
-* the engine-backed frontends (estimator batch path, runtime-session job
-  submission); the window tuner's engine-backed sweeps are checked against
-  their sequential reference in ``tests/test_futures.py``.
+* the engine-backed frontends (estimator batch path, window tuner batch
+  sweeps, runtime-session job submission); the window tuner's pipelined
+  engine futures are checked in ``tests/test_futures.py``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.runtime import RuntimeSession
 from repro.runtime.session import CircuitTimingModel
 from repro.simulators import NoisySimulator, StatevectorSimulator
 from repro.transpiler import transpile
+from repro.vaqem import IndependentWindowTuner, TuningBudget
 from repro.vqe import ExpectationEstimator
 
 
@@ -271,6 +272,32 @@ class TestEstimatorAndTunerBatchPaths:
         sequential = [estimator.estimate(s, tfim4).value for s in schedules]
         batch = [r.value for r in estimator.estimate_batch(schedules, tfim4)]
         assert batch == sequential  # shots=None: bit-identical
+
+    def test_tuner_batch_path_matches_sequential_path(
+        self,
+        device_noise,
+        candidate_schedules,
+        tfim4,
+        sequential_objective,
+        blocking_batch_objective,
+    ):
+        compiled, _ = candidate_schedules
+        budget = TuningBudget(dd_resolution=2, gs_resolution=2, max_windows=3)
+
+        def tuned(batched: bool):
+            estimator = ExpectationEstimator(device_noise, seed=9)
+            make_objective = blocking_batch_objective if batched else sequential_objective
+            tuner = IndependentWindowTuner(make_objective(estimator, tfim4), budget=budget)
+            outcome = tuner.tune(compiled.scheduled, compiled.idle_windows)
+            estimator.engine.close()
+            return outcome
+
+        sequential = tuned(batched=False)
+        batched = tuned(batched=True)
+        assert batched.baseline_value == sequential.baseline_value
+        assert batched.tuned_value == sequential.tuned_value
+        assert batched.num_evaluations == sequential.num_evaluations
+        assert batched.chosen_configurations() == sequential.chosen_configurations()
 
 
 class TestRuntimeSessionSubmission:

@@ -11,7 +11,9 @@ Covers the guarantees ``docs/async.md`` promises:
 * stats/cache merge correctness with two batches in flight on one engine;
 * the pipelined window tuner — identical tuning outcome, including the
   per-window candidate/value traces, versus the sequential reference
-  (already resolved futures over ``ExpectationEstimator.estimate``);
+  (already resolved futures over ``ExpectationEstimator.estimate``) and,
+  at pipeline depths 1, 2 and 4, versus the blocking batch path (already
+  resolved futures over ``ExpectationEstimator.estimate_batch``);
 * scheduler lifecycle — close() drains pending batches, engines are
   reusable afterwards.
 
@@ -42,7 +44,7 @@ from repro.exceptions import EngineError, SimulationError
 from repro.mitigation import DDConfig, insert_dd_sequences
 from repro.mitigation.gate_scheduling import GSConfig, reschedule_gate
 from repro.transpiler import transpile
-from repro.vaqem import IndependentWindowTuner, TuningBudget
+from repro.vaqem import IndependentWindowTuner, TuningBudget, window_tuner
 from repro.vqe import ExpectationEstimator
 
 WORKERS = 2
@@ -480,6 +482,43 @@ class TestPipelinedTuner:
             assert engine_record.window.index == sequential_record.window.index
             assert engine_record.candidates == sequential_record.candidates
             assert engine_record.values == sequential_record.values
+
+    @pytest.mark.parametrize("depth", (1, 2, 4))
+    def test_pipelined_tuner_matches_blocking(
+        self,
+        device_noise,
+        sweep_schedules,
+        tfim4,
+        blocking_batch_objective,
+        monkeypatch,
+        depth,
+    ):
+        """At any pipeline depth, engine futures resolved out of submission
+        order tune exactly as the estimator's blocking batch path does."""
+        monkeypatch.setattr(window_tuner, "PIPELINE_DEPTH", depth)
+        compiled, _ = sweep_schedules
+        budget = TuningBudget(dd_resolution=2, gs_resolution=2, max_windows=3)
+        outcomes = {}
+        for protocol in ("blocking", "pipelined"):
+            estimator = ExpectationEstimator(device_noise, seed=9)
+            objective = {
+                "blocking": blocking_batch_objective(estimator, tfim4),
+                "pipelined": lambda ss: [
+                    future.map(lambda r: r.value) for future in estimator.submit_batch(ss, tfim4)
+                ],
+            }[protocol]
+            tuner = IndependentWindowTuner(objective, budget=budget)
+            outcomes[protocol] = tuner.tune(compiled.scheduled, compiled.idle_windows)
+            estimator.engine.close()
+        pipelined, blocking = outcomes["pipelined"], outcomes["blocking"]
+        assert pipelined.baseline_value == blocking.baseline_value
+        assert pipelined.tuned_value == blocking.tuned_value
+        assert pipelined.num_evaluations == blocking.num_evaluations
+        assert pipelined.chosen_configurations() == blocking.chosen_configurations()
+        for pipe_record, block_record in zip(pipelined.window_records, blocking.window_records):
+            assert pipe_record.window.index == block_record.window.index
+            assert pipe_record.candidates == block_record.candidates
+            assert pipe_record.values == block_record.values
 
 
 # ----------------------------------------------------------------------------
