@@ -90,8 +90,9 @@ class QuantumCircuit:
         return len(self.parameters)
 
     def sorted_parameters(self) -> List[Parameter]:
-        """Parameters sorted by name (stable binding order for optimizers)."""
-        return sorted(self.parameters, key=lambda p: p.name)
+        """Parameters sorted by name, then by creation order among equal names
+        (the binding order of a parameter sequence, independent of hashing)."""
+        return sorted(self.parameters, key=lambda p: (p.name, p._uid))
 
     def count_ops(self) -> Dict[str, int]:
         """Histogram of gate names in the circuit."""

@@ -46,6 +46,11 @@ class ParameterExpression:
         """The additive constant of the affine expression."""
         return self._const
 
+    @property
+    def terms(self) -> tuple:
+        """``(parameter, coefficient)`` pairs in the order :meth:`bind` sums them."""
+        return tuple(self._coeffs.items())
+
     def coefficient(self, parameter: "Parameter") -> float:
         """Return the multiplicative coefficient of ``parameter`` (0 if absent)."""
         return self._coeffs.get(parameter, 0.0)

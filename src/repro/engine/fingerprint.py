@@ -172,14 +172,21 @@ def schedule_root(
 
 
 def timed_instruction_token(timed: "TimedInstruction") -> str:
-    return instruction_token(
-        timed.name,
-        timed.instruction.gate.params,
-        timed.qubits,
-        timed.instruction.clbits,
-        timed.start_ns,
-        timed.duration_ns,
-    )
+    """:func:`instruction_token` of a timed instruction, formatted once and
+    kept on the (immutable) instruction: sweep candidates copy schedules by
+    sharing their instruction objects, so they share most of their tokens."""
+    token = timed._token
+    if token is None:
+        token = instruction_token(
+            timed.name,
+            timed.instruction.gate.params,
+            timed.qubits,
+            timed.instruction.clbits,
+            timed.start_ns,
+            timed.duration_ns,
+        )
+        object.__setattr__(timed, "_token", token)
+    return token
 
 
 def schedule_hash_chain(

@@ -2,8 +2,8 @@
 
 Wraps :class:`~repro.simulators.statevector.StatevectorSimulator` behind the
 :class:`~repro.engine.base.ExecutionEngine` API with a content-hash state
-cache: repeated executions of the same bound circuit (VQE polish steps,
-trajectory replays, parity tests) reuse the evolved statevector, and
+cache: repeated executions of the same bound circuit (trajectory replays,
+parity tests) reuse the evolved statevector, and
 expectation values are additionally memoised per observable.
 """
 
@@ -55,8 +55,13 @@ class StatevectorEngine(ExecutionEngine):
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
-    def _state_for(self, circuit: QuantumCircuit) -> Tuple[np.ndarray, str, bool]:
-        fingerprint = circuit_fingerprint(circuit)
+    def _state_for(
+        self, circuit: QuantumCircuit, fingerprint: Optional[str] = None
+    ) -> Tuple[np.ndarray, str, bool]:
+        """The evolved state of ``circuit``; ``fingerprint`` is its
+        :func:`circuit_fingerprint` when the caller already has it."""
+        if fingerprint is None:
+            fingerprint = circuit_fingerprint(circuit)
         with self._lock:
             self.stats.executions += 1
             cached = self._states.get(fingerprint)
@@ -110,8 +115,9 @@ class StatevectorEngine(ExecutionEngine):
     ) -> Dict[str, int]:
         """Sampled counts under the engine seeding contract."""
         circuit = self._resolve_program(circuit)
-        rng = self._sampling_rng(seed, "counts", circuit_fingerprint(circuit), str(shots))
-        state, _, _ = self._state_for(circuit)
+        fingerprint = circuit_fingerprint(circuit)
+        rng = self._sampling_rng(seed, "counts", fingerprint, str(shots))
+        state, _, _ = self._state_for(circuit, fingerprint)
         distribution = measured_distribution_from_probabilities(np.abs(state) ** 2, circuit)
         return probabilities_to_counts(distribution, shots, rng=rng)
 
@@ -140,7 +146,7 @@ class StatevectorEngine(ExecutionEngine):
             with self._lock:
                 self.stats.expectation_cache_hits += 1
             return cached
-        state, _, _ = self._state_for(bare)
+        state, _, _ = self._state_for(bare, key[0])
         value = float(observable.expectation_from_statevector(state))
         with self._lock:
             self._expectations.put(key, value)

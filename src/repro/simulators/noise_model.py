@@ -38,6 +38,8 @@ class ChannelOp:
 
     def __post_init__(self):
         self._superop: Optional[np.ndarray] = None
+        #: The Pauli-transfer matrix, set by :func:`repro.simulators.ptm.channel_ptm`.
+        self._ptm: Optional[np.ndarray] = None
 
     @property
     def superop(self) -> np.ndarray:
@@ -47,13 +49,15 @@ class ChannelOp:
         channels through this single matrix (one tensor contraction) instead
         of looping over the Kraus operators, and the noise model's channel
         cache makes the construction cost a one-time expense per distinct
-        channel.
+        channel.  Each term is the outer product ``np.kron`` forms, laid out
+        as ``np.kron`` lays it out, without its generic reshaping machinery.
         """
         if self._superop is None:
             dim = self.kraus[0].shape[0]
             superop = np.zeros((dim * dim, dim * dim), dtype=complex)
             for k in self.kraus:
-                superop += np.kron(k, k.conj())
+                term = np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3)
+                superop += term.reshape(dim * dim, dim * dim)
             superop.flags.writeable = False
             self._superop = superop
         return self._superop

@@ -66,6 +66,8 @@ class ScheduleContext:
     busy: Dict[int, List[Tuple[float, float]]]
     neighbors: Dict[int, List[int]]
     initial_last_time: Dict[int, float]
+    #: Circuit position of each physical qubit in the layout.
+    positions: Dict[int, int]
 
 
 class EvolutionCursor:
@@ -119,11 +121,13 @@ class NoisySimulator:
         for position in range(scheduled.num_qubits):
             ops = [t for t in ordered if position in t.qubits and t.name != "barrier"]
             initial_last_time[position] = min((t.start_ns for t in ops), default=0.0)
+        positions = {p: i for i, p in enumerate(scheduled.physical_qubits)}
         return ScheduleContext(
             ordered=ordered,
             busy=self._busy_intervals(scheduled),
-            neighbors=self._coupled_positions(scheduled),
+            neighbors=self._coupled_positions(scheduled, positions),
             initial_last_time=initial_last_time,
+            positions=positions,
         )
 
     def begin(
@@ -193,7 +197,7 @@ class NoisySimulator:
                     yield SimOp(
                         "channel",
                         op,
-                        self._map_positions(scheduled, op.qubits, timed.qubits),
+                        self._map_positions(context, op.qubits, timed.qubits),
                         index,
                     )
                 last_time[timed.qubits[0]] = timed.end_ns
@@ -207,7 +211,7 @@ class NoisySimulator:
                 )
                 physical = [scheduled.physical_qubit(q) for q in timed.qubits]
                 for op in noise.gate_channels(name, physical):
-                    positions = self._physical_to_positions(scheduled, op.qubits)
+                    positions = self._physical_to_positions(context, op.qubits)
                     yield SimOp("channel", op, positions, index)
             for position in timed.qubits:
                 last_time[position] = timed.end_ns
@@ -237,15 +241,17 @@ class NoisySimulator:
         return intervals
 
     @staticmethod
-    def _coupled_positions(scheduled: ScheduledCircuit) -> Dict[int, List[int]]:
-        """Circuit positions coupled to each position on the device."""
+    def _coupled_positions(
+        scheduled: ScheduledCircuit, positions: Dict[int, int]
+    ) -> Dict[int, List[int]]:
+        """Circuit positions coupled to each position on the device;
+        ``positions`` maps physical qubits to positions."""
         device = scheduled.device
-        phys_to_pos = {p: i for i, p in enumerate(scheduled.physical_qubits)}
         coupled: Dict[int, List[int]] = {q: [] for q in range(scheduled.num_qubits)}
         for position, physical in enumerate(scheduled.physical_qubits):
             for neighbor in device.neighbors(physical):
-                if neighbor in phys_to_pos:
-                    coupled[position].append(phys_to_pos[neighbor])
+                if neighbor in positions:
+                    coupled[position].append(positions[neighbor])
         return coupled
 
     @staticmethod
@@ -314,13 +320,12 @@ class NoisySimulator:
                 yield SimOp("channel", op, (position, other_position), index)
 
     @staticmethod
-    def _physical_to_positions(scheduled: ScheduledCircuit, physical: Sequence[int]) -> Tuple[int, ...]:
-        mapping = {p: i for i, p in enumerate(scheduled.physical_qubits)}
-        return tuple(mapping[p] for p in physical)
+    def _physical_to_positions(context: ScheduleContext, physical: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(context.positions[p] for p in physical)
 
     @staticmethod
-    def _map_positions(scheduled, op_qubits, fallback_positions) -> Tuple[int, ...]:
-        mapping = {p: i for i, p in enumerate(scheduled.physical_qubits)}
+    def _map_positions(context: ScheduleContext, op_qubits, fallback_positions) -> Tuple[int, ...]:
+        mapping = context.positions
         try:
             return tuple(mapping[p] for p in op_qubits)
         except KeyError:

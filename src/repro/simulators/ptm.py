@@ -158,14 +158,18 @@ def unitary_ptm(matrix: np.ndarray) -> np.ndarray:
 
 
 def channel_ptm(channel: ChannelOp) -> np.ndarray:
-    """LRU-cached PTM of a noise channel, keyed on its Kraus operators' content.
+    """PTM of a noise channel, kept on the channel after the first call.
 
-    Two channels built independently but with identical operator entries
-    (the common case: the noise model memoises channels per qubit/duration,
-    and many qubits share calibration values) compile once.
+    The first call looks it up in the LRU cache keyed on the Kraus operators'
+    content, so two channels built independently but with identical operator
+    entries (the common case: the noise model memoises channels per
+    qubit/duration, and many qubits share calibration values) compile once;
+    later calls on the same channel skip hashing its operators.
     """
-    key = ("kraus", _content_key(*channel.kraus))
-    return _cached_ptm(key, lambda: kraus_to_ptm(channel.kraus))
+    if channel._ptm is None:
+        key = ("kraus", _content_key(*channel.kraus))
+        channel._ptm = _cached_ptm(key, lambda: kraus_to_ptm(channel.kraus))
+    return channel._ptm
 
 
 def sim_op_ptm(op: SimOp) -> np.ndarray:

@@ -11,12 +11,14 @@ Pauli-string labelling in :mod:`repro.operators`.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
-from ..exceptions import SimulationError
+from ..circuits.gates import _MATRIX_BUILDERS, GATE_NUM_PARAMS
+from ..circuits.parameter import ParameterExpression
+from ..exceptions import CircuitError, ParameterError, SimulationError
 from ..operators.pauli import PauliSum
 from .contraction import qubit_plan
 from .readout import probabilities_to_counts
@@ -43,6 +45,77 @@ def measured_distribution_from_probabilities(
     return np.bincount(keys, weights=probs, minlength=2 ** num_clbits)
 
 
+class StatevectorProgram:
+    """A circuit compiled once for repeated ideal evaluation.
+
+    Compiling walks the circuit once: every fixed gate keeps its matrix and
+    its contraction plan, every parametric gate keeps its plan, its matrix
+    builder and, per gate parameter, the affine map from the parameter vector
+    (ordered as :meth:`QuantumCircuit.sorted_parameters`) to the angle.
+    :meth:`statevector` then computes each angle the way
+    :meth:`ParameterExpression.bind` does, calls the same builder and makes
+    the same ``plan.apply`` calls as evolving the bound circuit, so its states
+    equal that walk bit for bit without binding or hashing a circuit.
+    """
+
+    def __init__(self, circuit: QuantumCircuit):
+        num_qubits = circuit.num_qubits
+        self.num_qubits = num_qubits
+        self.parameters = circuit.sorted_parameters()
+        index = {parameter: i for i, parameter in enumerate(self.parameters)}
+        shape = (2,) * num_qubits
+        steps = []
+        for inst in circuit.instructions:
+            name = inst.name
+            if name in ("barrier", "delay", "id", "measure"):
+                continue
+            gate = inst.gate
+            if gate.is_parameterized():
+                builder = _MATRIX_BUILDERS.get(name)
+                if builder is None or len(gate.params) != GATE_NUM_PARAMS.get(name, 0):
+                    raise CircuitError(
+                        f"gate '{name}' has no matrix definition for {len(gate.params)} parameter(s)"
+                    )
+                matrix = None
+                angles = tuple(_affine(value, index) for value in gate.params)
+            else:
+                matrix, builder, angles = gate.matrix(), None, ()
+            if len(inst.qubits) > 2:
+                raise SimulationError(f"unsupported gate arity for '{name}'")
+            plan = qubit_plan(shape, tuple(inst.qubits), num_qubits)
+            steps.append((plan, matrix, builder, angles))
+        self._steps = steps
+
+    def statevector(self, values: Sequence[float] = ()) -> np.ndarray:
+        """The final statevector at parameter ``values`` (ordered as
+        :attr:`parameters`)."""
+        values = [float(value) for value in values]
+        if len(values) != len(self.parameters):
+            raise ParameterError(
+                f"expected {len(self.parameters)} parameter values, got {len(values)}"
+            )
+        state = np.zeros(2 ** self.num_qubits, dtype=complex)
+        state[0] = 1.0
+        for plan, matrix, builder, angles in self._steps:
+            if matrix is None:
+                bound = []
+                for const, terms in angles:
+                    for i, coeff in terms:
+                        const += coeff * values[i]
+                    bound.append(const)
+                matrix = builder(*bound)
+            state = plan.apply(matrix, state)
+        return state
+
+
+def _affine(value, index: Dict) -> Tuple[float, Tuple[Tuple[int, float], ...]]:
+    """A gate parameter as ``(constant, ((parameter index, coefficient), ...))``,
+    with the terms in the expression's own coefficient order."""
+    if isinstance(value, ParameterExpression):
+        return (value.constant, tuple((index[p], c) for p, c in value.terms))
+    return (float(value), ())
+
+
 class StatevectorSimulator:
     """Exact, noise-free simulator for circuits of up to ~20 qubits."""
 
@@ -54,18 +127,7 @@ class StatevectorSimulator:
         """Return the final statevector of ``circuit`` (measurements ignored)."""
         if circuit.parameters:
             raise SimulationError("circuit still contains unbound parameters")
-        num_qubits = circuit.num_qubits
-        state = np.zeros(2 ** num_qubits, dtype=complex)
-        state[0] = 1.0
-        for inst in circuit.instructions:
-            name = inst.name
-            if name in ("barrier", "delay", "id", "measure"):
-                continue
-            matrix = inst.gate.matrix()
-            if len(inst.qubits) > 2:
-                raise SimulationError(f"unsupported gate arity for '{name}'")
-            state = qubit_plan((2,) * num_qubits, tuple(inst.qubits), num_qubits).apply(matrix, state)
-        return state
+        return StatevectorProgram(circuit).statevector()
 
     # -- measurement --------------------------------------------------------
     def probabilities(self, circuit: QuantumCircuit) -> np.ndarray:

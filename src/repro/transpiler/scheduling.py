@@ -35,6 +35,14 @@ class TimedInstruction:
     instruction: Instruction
     start_ns: float
     duration_ns: float
+    #: Memo of :func:`repro.engine.fingerprint.timed_instruction_token`;
+    #: derived from the fields, so it stays out of eq, hash and repr.
+    _token: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # Pickled schedules (e.g. shipped to process-tier workers) leave the
+        # memo behind; it is rebuilt on first use.
+        return {**self.__dict__, "_token": None}
 
     @property
     def end_ns(self) -> float:

@@ -24,6 +24,7 @@ from ..operators.pauli import PauliSum
 from ..optimizers.base import BatchObjective, OptimizationResult, Optimizer
 from ..optimizers.spsa import SPSA
 from ..simulators.noise_model import NoiseModel
+from ..simulators.statevector import StatevectorProgram
 from ..transpiler.pipeline import TranspileResult, transpile
 from .expectation import ExpectationEstimator
 
@@ -65,9 +66,12 @@ class VQE:
         self.hamiltonian = hamiltonian
         self.optimizer = optimizer or SPSA(maxiter=80, seed=seed)
         self.seed = seed
-        #: The ideal execution backend; inject a shared engine to pool its
-        #: statevector/expectation caches across drivers.
+        #: The ideal engine behind :meth:`evaluate_trajectory_ideal` only; the
+        #: ideal objectives evaluate a compiled program instead, so the engine
+        #: replays trajectories as an independent check of that program.
         self.engine = engine or StatevectorEngine(seed=seed)
+        self._program: Optional[StatevectorProgram] = None
+        self._program_source: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Objective functions
@@ -84,9 +88,25 @@ class VQE:
         """The ansatz with numeric angles bound (no measurements)."""
         return self.ansatz.bind_parameters(list(parameters))
 
+    def _ideal_program(self) -> StatevectorProgram:
+        """The ansatz compiled for ideal evaluation: built at first use and
+        rebuilt when :attr:`ansatz` is replaced or its instruction count
+        changes."""
+        source = (self.ansatz, len(self.ansatz.instructions))
+        if self._program_source != source:
+            self._program = StatevectorProgram(self.ansatz)
+            self._program_source = source
+        return self._program
+
     def ideal_objective(self, parameters: Sequence[float]) -> float:
-        """Noise-free ``<H>`` for a parameter vector."""
-        return self.engine.expectation(self.bind(parameters), self.hamiltonian)
+        """Noise-free ``<H>`` for a parameter vector.
+
+        Bit-identical to the engine's expectation of the bound ansatz
+        (:meth:`evaluate_trajectory_ideal`), without binding or hashing a
+        circuit per evaluation.
+        """
+        state = self._ideal_program().statevector(parameters)
+        return float(self.hamiltonian.expectation_from_statevector(state))
 
     def noisy_objective_factory(
         self,
@@ -131,15 +151,13 @@ class VQE:
         return objective
 
     def ideal_batch_objective(self) -> BatchObjective:
-        """A :class:`~repro.optimizers.base.BatchObjective` over the ideal engine.
+        """A :class:`~repro.optimizers.base.BatchObjective` over the ideal
+        objective.
 
-        ``evaluate_batch`` binds every point and submits the whole batch
-        through the engine's asynchronous
-        :meth:`~repro.engine.base.ExecutionEngine.submit_expectation_batch`,
-        so a batch-aware optimizer (SPSA's ``±c_k·Δ`` pairs) pipelines all of
-        a step's circuits through the slot scheduler in one submission.
-        Exact expectations carry no randomness, so values are bit-identical
-        to element-wise :meth:`ideal_objective` calls.
+        ``evaluate_batch`` loops over the compiled program on the caller's
+        thread: an evaluation takes well under a millisecond, less than a
+        trip through the engine's slot scheduler.  Values are element-wise
+        :meth:`ideal_objective` calls.
         """
         return _IdealBatchObjective(self)
 
@@ -316,11 +334,7 @@ class _IdealBatchObjective:
         return self.evaluate_batch([np.asarray(parameters, dtype=float)])[0]
 
     def evaluate_batch(self, points: Sequence[np.ndarray]) -> List[float]:
-        circuits = [self._vqe.bind(p) for p in points]
-        futures = self._vqe.engine.submit_expectation_batch(
-            circuits, self._vqe.hamiltonian, submitter=self
-        )
-        return [float(future.result()) for future in futures]
+        return [self._vqe.ideal_objective(p) for p in points]
 
 
 class _NoisyBatchObjective:

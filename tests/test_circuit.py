@@ -1,10 +1,15 @@
 """Unit tests for the QuantumCircuit IR."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.circuits import Parameter, QuantumCircuit
 from repro.circuits.gates import standard_gate
 from repro.exceptions import CircuitError, ParameterError
@@ -94,6 +99,32 @@ class TestIntrospection:
         circuit.rx(b, 0)
         circuit.rz(a, 0)
         assert [p.name for p in circuit.sorted_parameters()] == ["a", "b"]
+
+    def test_sorted_parameters_breaks_name_ties_by_creation_order(self):
+        params = [Parameter("x") for _ in range(6)]
+        circuit = QuantumCircuit(1)
+        for parameter in reversed(params):
+            circuit.rz(parameter, 0)
+        assert circuit.sorted_parameters() == params
+
+    def test_sorted_parameters_ignore_the_hash_seed(self):
+        # Equal names used to keep the frozenset's iteration order, which
+        # PYTHONHASHSEED decides; binding order must not depend on it.
+        script = (
+            "from repro.circuits import Parameter, QuantumCircuit\n"
+            "params = [Parameter('x') for _ in range(6)]\n"
+            "circuit = QuantumCircuit(1)\n"
+            "for parameter in params:\n"
+            "    circuit.rz(parameter, 0)\n"
+            "print([params.index(p) for p in circuit.sorted_parameters()])\n"
+        )
+        source = str(Path(repro.__file__).resolve().parents[1])
+        environment = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=source)
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=environment, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert completed.stdout.strip() == "[0, 1, 2, 3, 4, 5]"
 
     def test_measured_qubits(self):
         circuit = QuantumCircuit(2)

@@ -93,6 +93,18 @@ class TestStatevectorEngine:
         assert second.from_cache
         assert np.array_equal(first.state, second.state)
 
+    def test_state_cache_evicts_least_recently_used(self):
+        engine = StatevectorEngine(state_cache_entries=2)
+        circuits = []
+        for angle in (0.1, 0.2, 0.3):
+            circuit = QuantumCircuit(1)
+            circuit.rx(angle, 0)
+            circuits.append(circuit)
+        for circuit in circuits:
+            assert not engine.run(circuit).from_cache
+        assert engine.run(circuits[2]).from_cache
+        assert not engine.run(circuits[0]).from_cache
+
     def test_counts_deterministic_under_engine_seed(self, bell):
         bell_measured = bell.copy()
         bell_measured.measure_all()
@@ -100,6 +112,26 @@ class TestStatevectorEngine:
         b = StatevectorEngine(seed=5).counts(bell_measured, shots=300)
         assert a == b
         assert sum(a.values()) == 300
+
+    def test_one_fingerprint_per_expectation_miss_and_counts_call(
+        self, monkeypatch, bell, bound_su2_4q, tfim4
+    ):
+        from repro.engine import statevector_engine
+
+        calls = []
+
+        def counting(circuit):
+            calls.append(circuit)
+            return circuit_fingerprint(circuit)
+
+        monkeypatch.setattr(statevector_engine, "circuit_fingerprint", counting)
+        engine = StatevectorEngine(seed=5)
+        engine.expectation(bound_su2_4q, tfim4)
+        assert len(calls) == 1
+        bell_measured = bell.copy()
+        bell_measured.measure_all()
+        engine.counts(bell_measured, shots=100)
+        assert len(calls) == 2
 
 
 class TestDensityEngineParity:

@@ -122,3 +122,43 @@ class TestReadout:
     def test_measurement_prelude_relaxation(self, device_noise, ideal_noise):
         assert device_noise.measurement_prelude_channels(0)
         assert ideal_noise.measurement_prelude_channels(0) == []
+
+
+def kron_superop(kraus):
+    """The superoperator as ``ChannelOp.superop`` used to build it."""
+    dim = kraus[0].shape[0]
+    superop = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for k in kraus:
+        superop += np.kron(k, k.conj())
+    return superop
+
+
+class TestSuperoperator:
+    def test_matches_the_kron_loop_for_every_channel_kind(self, device_noise):
+        """Relaxation, 1- and 2-qubit depolarizing, coherent Z and ZZ and the
+        readout prelude, over seeded durations and idle intervals."""
+        rng = np.random.default_rng(17)
+        device = device_noise.device
+        edges = sorted(device.coupling_edges)
+        kinds = {}
+        for _ in range(30):
+            qubit = int(rng.integers(device.num_qubits))
+            a, b = edges[int(rng.integers(len(edges)))]
+            start = float(rng.uniform(0.0, 5_000.0))
+            end = start + float(rng.uniform(10.0, 3_000.0))
+            groups = {
+                "sx": device_noise.gate_channels("sx", [qubit]),
+                "cx": device_noise.gate_channels("cx", [a, b]),
+                "idle": device_noise.idle_channels(a, start, end, [b]),
+                "measure": device_noise.measurement_prelude_channels(qubit),
+            }
+            for group, ops in groups.items():
+                for op in ops:
+                    kinds[(group, len(op.qubits), len(op.kraus))] = True
+                    assert np.array_equal(op.superop, kron_superop(op.kraus))
+        # Relaxation and 1q depolarizing (sx), 2q depolarizing (cx), coherent
+        # Z and ZZ (idle, one Kraus operator each) and the prelude all ran.
+        assert ("cx", 2, 16) in kinds
+        assert ("idle", 1, 1) in kinds and ("idle", 2, 1) in kinds
+        assert any(group == "measure" for group, _, _ in kinds)
+        assert any(group == "sx" and width == 1 and count > 1 for group, width, count in kinds)

@@ -176,6 +176,26 @@ class TestPtmCompilation:
         # The cached array is frozen: kernels must never mutate it.
         assert not unitary_ptm(h).flags.writeable
 
+    def test_channel_ptm_is_kept_on_the_channel(self, monkeypatch, device_noise):
+        from repro.simulators import ptm as ptm_module
+
+        hashed = []
+        content_key = ptm_module._content_key
+
+        def counting(*arrays):
+            hashed.append(len(arrays))
+            return content_key(*arrays)
+
+        monkeypatch.setattr(ptm_module, "_content_key", counting)
+        channel = device_noise.gate_channels("cx", [0, 1])[-1]
+        channel._ptm = None
+        first = channel_ptm(channel)
+        second = channel_ptm(channel)
+        assert second is first
+        assert len(hashed) == 1
+        # The first call still goes through the content-keyed cache.
+        assert np.array_equal(first, kraus_to_ptm(channel.kraus))
+
     def test_pauli_basis_validates(self):
         with pytest.raises(SimulationError):
             pauli_basis(0)

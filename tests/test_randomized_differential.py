@@ -14,10 +14,14 @@ claim:
 * seeded sampling draws identical values on the serial and thread tiers,
   per the content-derived seeding contract;
 * the statevector and fake-device engines keep exact parity with their
-  underlying simulators under batching.
+  underlying simulators under batching;
+* hash chains built from the instruction tokens kept on each
+  ``TimedInstruction`` equal chains built from freshly formatted tokens.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from repro.engine import (
     canonical_order,
     schedule_fingerprint,
 )
+from repro.engine.fingerprint import _digest, instruction_token, schedule_hash_chain, schedule_root
 from repro.operators import tfim_hamiltonian
 from repro.simulators import NoiseModel
 from repro.simulators.noisy_simulator import NoisySimulator
@@ -103,6 +108,49 @@ class TestTimeOrderContract:
             assert schedule_fingerprint(swapped) != schedule_fingerprint(scheduled), (
                 f"seed {seed}"
             )
+
+
+def fresh_token_chain(scheduled, ordered, initial_last_time, salt):
+    """``schedule_hash_chain`` with every token formatted anew."""
+    chain = [schedule_root(scheduled, initial_last_time, salt)]
+    for timed in ordered:
+        token = instruction_token(
+            timed.name, timed.instruction.gate.params, timed.qubits,
+            timed.instruction.clbits, timed.start_ns, timed.duration_ns,
+        )
+        chain.append(_digest(chain[-1], token))
+    return chain
+
+
+class TestInstructionTokenMemo:
+    def test_memoised_chains_equal_fresh_token_chains(self, device):
+        """DD/GS sweep candidates copy the base schedule's instruction
+        objects, so they share memoised tokens; every chain, on the first
+        pass and on the memo-reading second one, equals the fresh one."""
+        simulator = NoisySimulator(NoiseModel.from_device(device))
+        for seed in ORDER_SEEDS:
+            family = randomized.schedule_family(
+                randomized.random_compiled(seed, device=device), seed
+            )
+            assert len(family) > 1, f"seed {seed}"
+            for _ in range(2):
+                for scheduled in family:
+                    context = simulator.prepare(scheduled)
+                    args = (scheduled, context.ordered, context.initial_last_time, "salt")
+                    assert schedule_hash_chain(*args) == fresh_token_chain(*args), f"seed {seed}"
+            shared = set(map(id, family[0].timed_instructions))
+            assert any(
+                id(timed) in shared for member in family[1:] for timed in member.timed_instructions
+            ), f"seed {seed}"
+
+    def test_pickle_round_trip_carries_no_memo(self, device):
+        scheduled = randomized.random_schedule(ORDER_SEEDS[0], device=device)
+        fingerprint = schedule_fingerprint(scheduled)
+        assert all(timed._token is not None for timed in scheduled.timed_instructions)
+        clone = pickle.loads(pickle.dumps(scheduled))
+        assert all(timed._token is None for timed in clone.timed_instructions)
+        assert clone.timed_instructions == scheduled.timed_instructions
+        assert schedule_fingerprint(clone) == fingerprint
 
 
 class TestEngineVersusRawSimulator:
