@@ -71,9 +71,9 @@ def _smoke_runners():
     ]
 
 
-#: Worker count for the thread/process legs of the H2 comparison (the
-#: acceptance target is the process tier beating threads at >= 4 workers;
-#: on hosts with fewer cores the numbers are still recorded honestly).
+#: Worker count for the process legs of the H2 comparison and the
+#: concurrent-frontends leg (on hosts with fewer cores the numbers are still
+#: recorded honestly, next to ``cpu_count``).
 _PARALLEL_WORKERS = 4
 
 
@@ -93,13 +93,13 @@ def _engine_objective(estimator, hamiltonian, **tier):
 def _h2_tuner_comparison():
     """Time the H2 window-tuner sweep across every execution tier.
 
-    Four legs tune from the same compiled schedule: the legacy *sequential*
+    Three legs tune from the same compiled schedule: the legacy *sequential*
     path (one blocking ``estimate`` call per candidate, no result cache, no
     prefix reuse — what the pre-engine code did), and the engine path in its
-    *serial*, *thread* and *process* tiers, where the tuner submits each
-    sweep asynchronously and builds window N+1's candidates while window N's
+    *serial* and *process* tiers, where the tuner submits each sweep
+    asynchronously and builds window N+1's candidates while window N's
     execute (``docs/async.md``).  With ``shots=None`` the tuned energies of
-    all four legs must agree bit for bit (the engine acceptance criterion);
+    all three legs must agree bit for bit (the engine acceptance criterion);
     only wall-clock may differ.
     """
     from concurrent.futures import Future
@@ -156,12 +156,10 @@ def _h2_tuner_comparison():
 
     sequential_s, sequential, _ = tune("sequential")
     serial_s, serial, engine = tune("serial")
-    thread_s, thread, _ = tune("thread")
     process_s, process, _ = tune("process")
     energies = {
         "sequential": sequential.tuned_value,
         "serial": serial.tuned_value,
-        "thread": thread.tuned_value,
         "process": process.tuned_value,
     }
     return {
@@ -189,9 +187,7 @@ def _h2_tuner_comparison():
             "workers": _PARALLEL_WORKERS,
             "cpu_count": os.cpu_count(),
             "serial_seconds": serial_s,
-            "thread_seconds": thread_s,
             "process_seconds": process_s,
-            "process_vs_thread_speedup": thread_s / process_s if process_s else float("inf"),
             "tuned_energies": energies,
         },
     }
@@ -202,11 +198,11 @@ def _concurrent_frontends_leg():
 
     Each frontend owns a *disjoint* family of H2 schedules (different bound
     parameters, so no shared simulated prefix across frontends) and submits
-    it in several thread-tier batches from its own thread.  The ``serial_fifo``
-    configuration pins the engine's scheduler to one thread slot — the PR 3
-    dispatcher behaviour, batches drain one at a time — while ``concurrent``
-    uses the default slot table, letting the two frontends' independent
-    batches overlap (``docs/scheduler.md``).  Values must be bit-identical
+    it in several process-tier batches from its own thread.  The
+    ``serial_fifo`` configuration pins the engine's scheduler to one process
+    slot — batches drain one at a time, as a single FIFO dispatcher would —
+    while ``concurrent`` uses the default slot table, letting the two
+    frontends' independent batches overlap (``docs/scheduler.md``).  Values must be bit-identical
     between both configurations and a blocking serial reference; only
     wall-clock may differ.  The overlap is a genuine parallel win from two
     cores up — on a single-core host both configurations are bound by the
@@ -276,7 +272,7 @@ def _concurrent_frontends_leg():
                             batch,
                             application.hamiltonian,
                             max_workers=_PARALLEL_WORKERS,
-                            parallelism="thread",
+                            parallelism="process",
                         )
                     )
                 values[index] = tuple(future.result().value for future in futures)
@@ -297,7 +293,7 @@ def _concurrent_frontends_leg():
             raise errors[0]
         return elapsed, tuple(values[index] for index in range(len(families)))
 
-    fifo_seconds, fifo_values = run_leg({"thread": 1, "process": 1})
+    fifo_seconds, fifo_values = run_leg({"process": 1})
     concurrent_seconds, concurrent_values = run_leg(None)
 
     # Blocking serial reference: the determinism bar for both configurations.
@@ -994,9 +990,7 @@ def main() -> None:
         print(
             f"[run_all] h2 tuner tiers ({parallel['workers']} workers, "
             f"{parallel['cpu_count']} cores): serial {parallel['serial_seconds']:.2f}s, "
-            f"thread {parallel['thread_seconds']:.2f}s, "
-            f"process {parallel['process_seconds']:.2f}s "
-            f"(process vs thread: {parallel['process_vs_thread_speedup']:.2f}x)"
+            f"process {parallel['process_seconds']:.2f}s"
         )
 
     # The concurrent-frontends leg (docs/scheduler.md): guarded like the

@@ -8,18 +8,17 @@ instantiating simulators ad hoc:
 * :meth:`ExecutionEngine.run` — execute one circuit, returning an
   :class:`EngineResult`,
 * :meth:`ExecutionEngine.run_batch` — execute many circuits, order-stably and
-  with shared caching (optionally fanned out over worker threads or worker
-  processes),
+  with shared caching (optionally fanned out over worker processes),
 * :meth:`ExecutionEngine.expectation` / :meth:`expectation_batch` — estimate
   ``<H>`` of a Pauli-sum observable for one or many circuits.
 
-Batch methods accept ``parallelism="serial" | "thread" | "process"`` plus
-``max_workers``.  The thread tier shares the engine's caches directly and
-only helps while numpy releases the GIL; the process tier
-(:mod:`repro.engine.parallel`) rebuilds the engine in worker processes,
-shards the batch so prefix-reuse chains stay within one worker, and merges
-worker cache entries back into the parent.  Results are identical across all
-three modes for a seeded engine (see the seeding contract below).
+Batch methods accept ``parallelism="serial" | "process"`` plus
+``max_workers``.  The process tier (:mod:`repro.engine.parallel`) rebuilds
+the engine in worker processes, shards the batch so prefix-reuse chains stay
+within one worker, and merges worker cache entries back into the parent.
+Results are identical on both tiers for a seeded engine (see the seeding
+contract below).  Engines are also safe to share between threads: caller
+threads and overlapping scheduler slots meet behind the engines' locks.
 
 Every batch method also has an asynchronous counterpart — :meth:`submit`,
 :meth:`submit_batch`, :meth:`submit_expectation_batch` — returning ordered
@@ -63,8 +62,8 @@ via :func:`repro.engine.fingerprint.derive_seed`.  Consequences, guaranteed
 across all engines constructed with a seed:
 
 * ``run_batch(circuits)`` equals ``[run(c) for c in circuits]`` exactly,
-  element by element, regardless of batch order, cache state, prefix reuse or
-  thread fan-out;
+  element by element, regardless of batch order, cache state, prefix reuse,
+  execution tier or concurrent callers;
 * re-running the same circuit on the same engine reproduces the same samples;
 * two engines constructed with the same seed agree with each other;
 * an explicit ``seed=...`` argument to a sampling method overrides the
@@ -82,7 +81,6 @@ from __future__ import annotations
 import abc
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +91,6 @@ from .futures import DEFAULT_MAX_PENDING, EngineFuture
 from .parallel import (
     CacheRecord,
     EngineWorkerSpec,
-    ParallelismPlan,
     ProcessPoolRegistry,
     process_map,
     resolve_parallelism,
@@ -235,10 +232,10 @@ class ExecutionEngine(abc.ABC):
         self.seed = seed
         self.stats = EngineStats()
         #: Concurrent-batch slots per execution tier for this engine's
-        #: scheduler (``{"serial": 1, "thread": 2, "process": 2}`` by
-        #: default; the serial tier is always pinned to one slot).  A private
-        #: copy per instance — reassign or mutate it before the first
-        #: submission to resize; see ``docs/scheduler.md``.
+        #: scheduler (``{"serial": 1, "process": 2}`` by default; the serial
+        #: tier is always pinned to one slot).  A private copy per instance
+        #: — reassign or mutate it before the first submission to resize;
+        #: see ``docs/scheduler.md``.
         self.scheduler_slots: Dict[str, int] = dict(DEFAULT_SLOTS)
         #: Persistent process pools, shared by concurrent batches (see
         #: :class:`~repro.engine.parallel.ProcessPoolRegistry`).
@@ -283,20 +280,17 @@ class ExecutionEngine(abc.ABC):
         ``parallelism`` selects the execution tier:
 
         * ``"serial"`` — one circuit after another on the calling thread;
-        * ``"thread"`` — a thread pool sharing the engine's caches (only
-          helps while numpy releases the GIL inside heavy contractions);
         * ``"process"`` — a persistent pool of worker processes, each holding
           a rebuilt copy of this engine; the batch is sharded so schedules
           sharing a simulated prefix stay on one worker, and worker cache
           entries are merged back on return (:mod:`repro.engine.parallel`).
+          An engine that cannot cross the process boundary runs it serially.
 
         ``max_workers`` bounds the pool size (default: one per core).
-        ``parallelism=None`` runs serially; the historical implicit thread
-        tier (``max_workers > 1`` without ``parallelism=``) has been removed
-        and now raises :class:`~repro.exceptions.EngineError` — pass
-        ``parallelism="thread"`` explicitly, see the migration notes in
-        ``docs/api.md``.  Because of the content-derived seeding contract a
-        seeded engine returns identical results on every tier.
+        ``parallelism=None`` runs serially; ``max_workers > 1`` without
+        ``parallelism=`` raises :class:`~repro.exceptions.EngineError`.
+        Because of the content-derived seeding contract a seeded engine
+        returns identical results on every tier.
         """
         return self._dispatch_batch("run", circuits, {}, max_workers, parallelism)
 
@@ -434,7 +428,7 @@ class ExecutionEngine(abc.ABC):
             return scheduler
 
     # ------------------------------------------------------------------
-    # Batch dispatch (serial / thread / process tiers)
+    # Batch dispatch (serial / process tiers)
     # ------------------------------------------------------------------
     def _dispatch_batch(
         self,
@@ -454,37 +448,31 @@ class ExecutionEngine(abc.ABC):
         items = [self._resolve_program(item) for item in items]
         plan = resolve_parallelism(parallelism, max_workers, len(items))
         if plan.mode == "process":
+            # Engines that cannot cross the process boundary run the batch
+            # serially rather than failing it.
             spec = self._process_spec()
-            if spec is None:
-                # Engines that cannot cross the process boundary degrade to
-                # the thread tier rather than failing the batch.
-                plan = plan.thread_fallback()
-            else:
+            if spec is not None:
                 return process_map(self, spec, kind, items, kwargs, plan, chains=chains)
-        func = lambda item: self._serial_call(kind, item, kwargs)  # noqa: E731
-        if plan.mode == "thread":
-            with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-                return list(pool.map(func, items))
         fast = self._batch_fast_path(kind, items, kwargs)
         if fast is not None:
             return fast
-        return [func(item) for item in items]
+        return [self._serial_call(kind, item, kwargs) for item in items]
 
     def _batch_fast_path(
         self, kind: str, items: Sequence, kwargs: Dict[str, Any]
     ) -> Optional[List]:
         """Optional whole-batch execution of a serial-tier batch.
 
-        Called by :meth:`_dispatch_batch` once the batch has resolved to the
-        serial tier; returning a result list (input order) replaces the
-        per-item loop, returning ``None`` falls back to it.  Implementations
-        must be *value-identical* to the per-item path — same numbers, same
-        cache and stats side effects — because callers choose tiers freely.
+        Called by :meth:`_dispatch_batch` once the batch runs serially;
+        returning a result list (input order) replaces the per-item loop,
+        returning ``None`` falls back to it.  Implementations must be
+        *value-identical* to the per-item path — same numbers, same cache and
+        stats side effects — because callers choose tiers freely.
         """
         return None
 
     def _serial_call(self, kind: str, item, kwargs: Dict[str, Any]):
-        """Execute one batch item on the calling thread (all tiers reduce to
+        """Execute one batch item on the calling thread (both tiers reduce to
         this; subclasses extend it with additional kinds)."""
         if kind == "run":
             return self.run(item)
@@ -502,7 +490,7 @@ class ExecutionEngine(abc.ABC):
 
         ``None`` (the default) marks the engine as unable to cross the
         process boundary; batch calls requesting ``parallelism="process"``
-        then degrade to the thread tier.
+        then run serially.
         """
         return None
 

@@ -24,12 +24,13 @@ The chains digest the order the simulator executes (time order, see
 instruction sequence the checkpoint's producer ran — bit-identical, never
 merely close.
 
-Both layers are thread-safe, so :meth:`run_batch` may fan out over threads
-without changing any result.  The engine also implements the process-tier
-worker protocol (:mod:`repro.engine.parallel`): batches submitted with
-``parallelism="process"`` are sharded along schedule hash chains so prefix
-reuse survives the process boundary, and the workers' final states and
-expectation values are merged back into this engine's caches on return.
+Both layers are thread-safe, so caller threads and overlapping scheduler
+slots may share one engine without changing any result.  The engine also
+implements the process-tier worker protocol (:mod:`repro.engine.parallel`):
+batches submitted with ``parallelism="process"`` are sharded along schedule
+hash chains so prefix reuse survives the process boundary, and the workers'
+final states and expectation values are merged back into this engine's
+caches on return.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         expectation_cache_entries: int = 2048,
         snapshot_budget_bytes: int = 64 << 20,
         enable_prefix_reuse: bool = True,
-        expectations_only_ipc: bool = False,
         kernel: Optional[str] = None,
         enable_segment_reuse: bool = True,
     ):
@@ -183,13 +183,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         self.result_cache_bytes = int(result_cache_bytes)
         self.expectation_cache_entries = int(expectation_cache_entries)
         self.snapshot_budget_bytes = int(snapshot_budget_bytes)
-        #: Process-tier IPC mode for expectation batches: with this set,
-        #: workers ship back only expectation records and keep the full
-        #: density-matrix states local, cutting per-item IPC from O(4^n)
-        #: to O(1) bytes on expectation-only sweeps.  The parent's result
-        #: cache then stays cold for those schedules (a later ``run`` of the
-        #: same schedule re-simulates); values are unchanged either way.
-        self.expectations_only_ipc = bool(expectations_only_ipc)
         self._simulator = NoisySimulator(noise_model)
         #: The evolution backend behind the cursor API (`begin`/`advance`):
         #: the dense simulator itself, or the PTM evolver wrapping an
@@ -329,7 +322,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
 
         The returned state is shared with the cache — treat it as read-only.
         Only cache and snapshot access is serialized; the simulation itself
-        runs outside the lock so thread fan-out overlaps real work.  Two
+        runs outside the lock so concurrent callers overlap real work.  Two
         threads racing on the same schedule would both simulate it and store
         bit-identical states, so correctness never depends on the race.
 
@@ -382,7 +375,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                         wanted = chain[depth] not in self._snapshots
                     if wanted:
                         # Copy outside the lock — an O(4^n) state copy would
-                        # otherwise serialize every thread-tier worker.  A
+                        # otherwise serialize every concurrent caller.  A
                         # racing duplicate put is harmless (put is a no-op on
                         # existing keys) and both copies are bit-identical.
                         snapshot = cursor.copy()
@@ -837,7 +830,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 "expectation_cache_entries": self.expectation_cache_entries,
                 "snapshot_budget_bytes": self.snapshot_budget_bytes,
                 "enable_prefix_reuse": self.enable_prefix_reuse,
-                "expectations_only_ipc": self.expectations_only_ipc,
                 # Explicit, not env-derived: workers must run the kernel the
                 # parent resolved, whatever their environment says.
                 "kernel": self.kernel,
@@ -845,14 +837,11 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             },
             # The noise key already digests the device calibration and every
             # noise-model flag, so post-construction toggles retire the pool.
-            # The IPC mode is part of the key too: workers decide what they
-            # export, so a toggled parent needs freshly-configured workers.
             # Segment reuse never changes values (replay is bit-identical)
             # but does change per-worker counters, so it keys the pool too.
             cache_key=(
                 f"{self.name}:{self._noise_key()}:{self.seed}:"
-                f"{self.enable_prefix_reuse}:{self.expectations_only_ipc}:"
-                f"{self.enable_segment_reuse}"
+                f"{self.enable_prefix_reuse}:{self.enable_segment_reuse}"
             ),
         )
 
@@ -895,18 +884,14 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         # (a distinct object from anything in `result`, so the parent's cache
         # entry is never aliased with what the caller receives).  Read the
         # store directly — a second `_state_for` would distort the stats
-        # delta with a synthetic cache hit.  In expectations-only IPC mode the
-        # state stays worker-local for expectation kinds: the scalar record
-        # below is all the parent needs, and skipping the O(4^n) state ships
-        # is the whole point of the mode.
+        # delta with a synthetic cache hit.
         fingerprint = self._chain(item)[1][-1]
         records = []
+        with self._lock:
+            state = self._results.get(fingerprint)
+        if state is not None:
+            records.append(CacheRecord("result", fingerprint, state, int(state.data.nbytes)))
         expectation_kind = kind in ("expectation", "expectation_full")
-        if not (self.expectations_only_ipc and expectation_kind):
-            with self._lock:
-                state = self._results.get(fingerprint)
-            if state is not None:
-                records.append(CacheRecord("result", fingerprint, state, int(state.data.nbytes)))
         if expectation_kind and self._expectation_cacheable(kwargs["shots"], kwargs.get("seed")):
             key = self._expectation_key(
                 fingerprint, kwargs["observable"], kwargs["shots"],

@@ -46,7 +46,6 @@ class FakeDeviceEngine(ExecutionEngine):
         physical_qubits: Optional[Sequence[int]] = None,
         scheduling_policy: str = "alap",
         transpile_cache_entries: int = 256,
-        expectations_only_ipc: bool = False,
         kernel: Optional[str] = None,
     ):
         super().__init__(seed=seed)
@@ -59,12 +58,7 @@ class FakeDeviceEngine(ExecutionEngine):
         #: Simulation kernel of the inner noisy engine (``"dense"`` /
         #: ``"ptm"``; ``None`` defers to ``REPRO_ENGINE_KERNEL``) — see
         #: :class:`NoisyDensityMatrixEngine` and ``docs/ptm.md``.
-        self._noisy = NoisyDensityMatrixEngine(
-            self.noise_model,
-            seed=seed,
-            expectations_only_ipc=expectations_only_ipc,
-            kernel=kernel,
-        )
+        self._noisy = NoisyDensityMatrixEngine(self.noise_model, seed=seed, kernel=kernel)
         self.kernel = self._noisy.kernel
         self._transpiled = _LRUCache(transpile_cache_entries)
         self._lock = threading.RLock()
@@ -237,7 +231,6 @@ class FakeDeviceEngine(ExecutionEngine):
             self.shots,
             tuple(self.physical_qubits or ()),
             self.scheduling_policy,
-            self._noisy.expectations_only_ipc,
         )
         return EngineWorkerSpec(
             engine_class=type(self),
@@ -249,7 +242,6 @@ class FakeDeviceEngine(ExecutionEngine):
                 "physical_qubits": self.physical_qubits,
                 "scheduling_policy": self.scheduling_policy,
                 "transpile_cache_entries": self.transpile_cache_entries,
-                "expectations_only_ipc": self._noisy.expectations_only_ipc,
                 "kernel": self.kernel,
             },
             cache_key=f"{self.name}:{self._noisy._noise_key()}:{context!r}",
@@ -273,13 +265,10 @@ class FakeDeviceEngine(ExecutionEngine):
             return result, records
         records.append(CacheRecord("transpile", transpile_key, compiled))
         schedule_fp = self._schedule_fingerprint_of(compiled)
-        # Expectations-only IPC (configured on the inner engine): keep the
-        # heavy state worker-local for expectation shards.
-        if not (self._noisy.expectations_only_ipc and kind == "expectation"):
-            with self._noisy._lock:
-                state = self._noisy._results.get(schedule_fp)
-            if state is not None:
-                records.append(CacheRecord("result", schedule_fp, state, int(state.data.nbytes)))
+        with self._noisy._lock:
+            state = self._noisy._results.get(schedule_fp)
+        if state is not None:
+            records.append(CacheRecord("result", schedule_fp, state, int(state.data.nbytes)))
         if kind == "expectation" and self._noisy._expectation_cacheable(
             kwargs["shots"], kwargs.get("seed")
         ):

@@ -1,11 +1,11 @@
 """Multi-core process-pool execution tier for the engine layer.
 
-The thread fan-out in :meth:`~repro.engine.base.ExecutionEngine.run_batch`
-only helps while numpy holds the heavy contractions; for the small states the
-paper's workloads use (4-7 qubits) the Python interpreter dominates and the
-GIL serialises everything.  This module adds a *process* tier that scales a
-batch across cores while preserving every engine guarantee (order stability,
-the content-derived seeding contract, bit-identical ``shots=None`` values).
+For the small states the paper's workloads use (4-7 qubits) the Python
+interpreter dominates every simulation and the GIL serialises threads, so the
+one parallel tier of :meth:`~repro.engine.base.ExecutionEngine.run_batch`
+scales a batch across worker *processes* while preserving every engine
+guarantee (order stability, the content-derived seeding contract,
+bit-identical ``shots=None`` values).
 
 The design has three parts (see ``docs/architecture.md`` for the full
 picture):
@@ -55,8 +55,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import EngineError
 
-#: The accepted ``parallelism=`` values, in increasing isolation order.
-PARALLELISM_MODES = ("serial", "thread", "process")
+#: The accepted ``parallelism=`` values.
+PARALLELISM_MODES = ("serial", "process")
 
 
 # ----------------------------------------------------------------------------
@@ -70,10 +70,6 @@ class ParallelismPlan:
     mode: str
     workers: int
 
-    def thread_fallback(self) -> "ParallelismPlan":
-        """The plan an engine without process support degrades to."""
-        return ParallelismPlan("thread", self.workers)
-
 
 def default_worker_count() -> int:
     """Worker count used when ``max_workers`` is not given (one per core)."""
@@ -85,13 +81,10 @@ def resolve_parallelism(
 ) -> ParallelismPlan:
     """Resolve the ``(parallelism, max_workers)`` knobs into a concrete plan.
 
-    ``parallelism=None`` runs serially.  Historically ``max_workers > 1``
-    with ``parallelism=None`` implicitly selected the thread pool; that
-    implicit tier selection (a sizing knob silently coupled to a semantics
-    knob) went through a :class:`DeprecationWarning` cycle and has been
-    **removed** — it now raises :class:`~repro.exceptions.EngineError`; pass
-    ``parallelism="thread"`` (or ``"process"``) explicitly, see the migration
-    notes in ``docs/api.md``.  An explicit mode uses ``max_workers`` as the
+    ``parallelism=None`` runs serially; ``max_workers > 1`` without a
+    ``parallelism=`` raises :class:`~repro.exceptions.EngineError` (a sizing
+    knob never selects a tier), as does any mode outside
+    :data:`PARALLELISM_MODES`.  ``"process"`` uses ``max_workers`` as the
     worker count (default: one per core).  Degenerate requests (single-item
     batches, one worker) collapse to the serial plan, which is behaviourally
     identical and avoids pool overhead.
@@ -99,10 +92,8 @@ def resolve_parallelism(
     if parallelism is None:
         if max_workers is not None and max_workers > 1:
             raise EngineError(
-                "passing max_workers > 1 without parallelism= used to implicitly "
-                "select the thread tier; that deprecated behaviour has been "
-                "removed — pass parallelism='thread' (or 'process') explicitly.  "
-                "See the migration notes in docs/api.md."
+                "max_workers > 1 without parallelism= does not select a tier; "
+                "pass parallelism='process' explicitly (docs/api.md)."
             )
         mode = "serial"
     elif parallelism in PARALLELISM_MODES:
@@ -429,6 +420,10 @@ class ProcessPoolRegistry:
 
     * concurrent batches with the same execution context **share one pool**
       (worker-side caches and prefix snapshots stay warm for all of them);
+    * a batch needing no more workers than an idle same-context pool has
+      reuses it: ``resolve_parallelism`` clamps the worker count to the
+      batch size, so a short batch after a long one must not respawn the
+      workers and lose their warm caches;
     * a batch requesting a different worker count while another batch is
       running does **not** retire the running batch's workers — it shares the
       live pool (submitting shards to a differently-sized pool just queues);
@@ -452,19 +447,20 @@ class ProcessPoolRegistry:
         with self._lock:
             # Retire what can no longer serve: stale-config pools always
             # (idle ones now, busy ones on their last release); same-config
-            # pools of a different size only when idle — never out from under
-            # a running batch.
+            # pools smaller than this batch needs only when idle — never out
+            # from under a running batch.
             for key, entry in list(self._entries.items()):
                 stale = key[0] != spec.cache_key
                 if entry.in_use == 0:
-                    if stale or key[1] != workers:
+                    if stale or key[1] < workers:
                         doomed.append(self._entries.pop(key).handle)
                 elif stale:
                     entry.retired = True
             entry = self._entries.get((spec.cache_key, workers))
             if entry is None:
-                # Share a live same-config pool (whatever its size) rather
-                # than spawning a second set of workers next to it.
+                # Share a live same-config pool (a larger idle one, or a busy
+                # one of any size) rather than spawning a second set of
+                # workers next to it.
                 for key, candidate in self._entries.items():
                     if key[0] == spec.cache_key and not candidate.retired:
                         entry = candidate

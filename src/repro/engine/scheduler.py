@@ -8,11 +8,11 @@ idle behind the head of the queue.  This module replaces that dispatcher
 with a real scheduler (full design in ``docs/scheduler.md``):
 
 **Per-tier slots.**  Each submitted batch resolves to an execution tier
-(``serial`` / ``thread`` / ``process``, exactly as a blocking call would) and
-each tier has a bounded number of *slots* — concurrently executing batches.
-The serial tier always has one slot; the thread and process tiers default to
-two and are configurable through ``engine.scheduler_slots``.  Slot limits
-bound the engine-side concurrency no matter how many frontends submit.
+(``serial`` / ``process``, exactly as a blocking call would) and each tier
+has a bounded number of *slots* — concurrently executing batches.  The
+serial tier always has one slot; the process tier defaults to two and is
+configurable through ``engine.scheduler_slots``.  Slot limits bound the
+engine-side concurrency no matter how many frontends submit.
 
 **Dependency detection — item-level edges.**  An *item* conflicts with a
 running one when their schedule hash chains overlap — they share a deep
@@ -68,7 +68,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
 from ..exceptions import EngineError
 from .futures import DEFAULT_MAX_PENDING, EngineFuture
-from .parallel import resolve_parallelism
+from .parallel import PARALLELISM_MODES, resolve_parallelism
 
 __all__ = ["BatchJob", "BatchScheduler", "DEFAULT_SLOTS", "item_fingerprints", "job_fingerprints"]
 
@@ -78,9 +78,9 @@ _NO_KEY = object()
 
 #: Default concurrent-batch slots per execution tier.  The serial tier is
 #: pinned to one slot (a "serial" submitter asked for strictly sequential
-#: execution); thread/process default to two overlapping batches and are
+#: execution); the process tier defaults to two overlapping batches and is
 #: configurable via ``engine.scheduler_slots``.
-DEFAULT_SLOTS: Dict[str, int] = {"serial": 1, "thread": 2, "process": 2}
+DEFAULT_SLOTS: Dict[str, int] = {"serial": 1, "process": 2}
 
 
 def job_chains(engine, kind: str, items: Sequence[Any]) -> List[List[str]]:
@@ -178,9 +178,9 @@ class BatchJob:
         self.submitter = submitter
         self.priority = int(priority)
         #: The tier whose slot each dispatched slice of this job occupies
-        #: while running (resolved at submit time; engines that degrade
-        #: process -> thread inside ``_dispatch_batch`` still account against
-        #: the requested tier).
+        #: while running (resolved at submit time; an engine that runs a
+        #: process request serially inside ``_dispatch_batch`` still
+        #: accounts against the requested tier).
         self.tier = tier
         #: Per-item hash chains, computed once at submit; the process tier
         #: reuses them instead of re-hashing every item.
@@ -249,6 +249,11 @@ class BatchScheduler:
         self._slots = dict(DEFAULT_SLOTS)
         if slots:
             for mode, count in slots.items():
+                if mode not in PARALLELISM_MODES:
+                    raise EngineError(
+                        f"scheduler slots name unknown tier {mode!r} "
+                        f"(expected one of {PARALLELISM_MODES})"
+                    )
                 self._slots[mode] = max(1, int(count))
         # The serial tier's contract is strict sequential execution.
         self._slots["serial"] = 1

@@ -154,9 +154,8 @@ class RuntimeSession:
         engine's per-tier slots (``docs/scheduler.md``).  Results come back
         in submission order, one :class:`~repro.engine.base.EngineResult` per
         circuit, following the engine's seeding contract.  ``parallelism``
-        selects the engine tier each job fans out on (the historical
-        ``max_workers``-implies-threads behaviour has been removed; pass the
-        tier explicitly).
+        selects the engine tier each job fans out on (``max_workers`` alone
+        selects none; pass the tier explicitly).
         """
         if self.engine is None:
             raise RuntimeSessionError("this session was opened without an execution engine")

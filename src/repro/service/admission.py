@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from ..engine.parallel import resolve_parallelism
 from ..exceptions import QueueDepthError, RateLimitError
 from ..frontend import ResourceLimits
 
@@ -53,7 +54,9 @@ class ServiceConfig:
     ``max_inflight_requests`` bounds admitted-but-unanswered requests across
     all tenants (``None``: the engine's ``max_pending_batches``).
     ``parallelism`` / ``max_workers`` are handed to every engine submission
-    (``None``: the serial tier).  ``clock`` must be monotonic; tests inject a
+    (``None``: the serial tier) and are checked at construction, so an
+    unknown tier raises :class:`~repro.exceptions.EngineError` here rather
+    than failing every request.  ``clock`` must be monotonic; tests inject a
     fake one to drive the token buckets deterministically.
     """
 
@@ -70,6 +73,9 @@ class ServiceConfig:
     #: Per-tenant latency samples kept for the p50/p99 metrics.
     latency_samples: int = 1024
     clock: Callable[[], float] = time.monotonic
+
+    def __post_init__(self):
+        resolve_parallelism(self.parallelism, self.max_workers, 0)
 
     def policy_for(self, tenant: str) -> TenantPolicy:
         return self.tenants.get(tenant, self.default_policy)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from ..exceptions import VAQEMError
+from ..exceptions import EngineError, VAQEMError
 from ..mitigation.dd import DDConfig
 from ..mitigation.gate_scheduling import GSConfig
 
@@ -64,21 +64,18 @@ class VAQEMConfig:
     angle_tuning_iterations: int = 200
     #: Random seed for the whole flow.
     seed: int = 11
-    #: Execution tier for every machine execution: ``"serial"``,
-    #: ``"thread"`` or ``"process"`` (``None`` keeps the engine's serial
-    #: default).  The process tier scales the sweeps across cores while the
-    #: tuned energies stay bit-identical at ``shots=None`` — see
-    #: :mod:`repro.engine.parallel`.
+    #: Execution tier for every machine execution: ``"serial"`` or
+    #: ``"process"`` (``None`` keeps the engine's serial default).  The
+    #: process tier scales the sweeps across cores while the tuned energies
+    #: stay bit-identical at ``shots=None`` — see :mod:`repro.engine.parallel`.
     parallelism: Optional[str] = None
-    #: Worker cap for the thread/process tiers (``None`` = one per core).
+    #: Worker cap for the process tier (``None`` = one per core).
     max_workers: Optional[int] = None
 
     def __post_init__(self):
-        if self.parallelism is not None:
-            from ..engine.parallel import PARALLELISM_MODES
+        from ..engine.parallel import resolve_parallelism
 
-            if self.parallelism not in PARALLELISM_MODES:
-                raise VAQEMError(
-                    f"unknown parallelism mode '{self.parallelism}' "
-                    f"(expected one of {PARALLELISM_MODES})"
-                )
+        try:
+            resolve_parallelism(self.parallelism, self.max_workers, 0)
+        except EngineError as error:
+            raise VAQEMError(str(error)) from error

@@ -133,8 +133,8 @@ class ExpectationEstimator:
         across repeated invocations.  With ``shots=None`` (exact mode) the
         values equal sequential :meth:`estimate` calls bit for bit.
 
-        ``parallelism="serial" | "thread" | "process"`` and ``max_workers``
-        select the engine's execution tier (see
+        ``parallelism="serial" | "process"`` and ``max_workers`` select the
+        engine's execution tier (see
         :meth:`~repro.engine.base.ExecutionEngine.run_batch`); results are
         identical across tiers.  ``shots`` / ``seed`` override the
         estimator's configured shot count and the content-derived sampling

@@ -2,7 +2,7 @@
 
 Covers the guarantees ``docs/async.md`` promises:
 
-* blocking-vs-async parity — bit-identical results on the serial, thread and
+* blocking-vs-async parity — bit-identical results on the serial and
   process tiers, on all three engines;
 * exception propagation — a failing batch re-raises from
   ``EngineFuture.result()`` and is returned by ``exception()``;
@@ -49,7 +49,7 @@ from repro.vqe import ExpectationEstimator
 
 WORKERS = 2
 
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -374,63 +374,6 @@ class TestAsyncParity:
         engine.close()
         values = gather(engine.submit_expectation_batch(logical_circuits, tfim4))
         assert len(values) == len(logical_circuits)
-        engine.close()
-
-
-# ----------------------------------------------------------------------------
-# Expectations-only process-tier IPC mode
-# ----------------------------------------------------------------------------
-
-class TestExpectationsOnlyIPC:
-    def test_values_identical_and_expectation_cache_warm(
-        self, device_noise, sweep_schedules, tfim4
-    ):
-        _, schedules = sweep_schedules
-        lean = NoisyDensityMatrixEngine(device_noise, seed=3, expectations_only_ipc=True)
-        full = NoisyDensityMatrixEngine(device_noise, seed=3)
-        lean_values = lean.expectation_batch(
-            schedules, tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        full_values = full.expectation_batch(
-            schedules, tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        assert lean_values == full_values
-        # Expectation records merged: re-query costs no simulation at all.
-        simulated_before = lean.stats.instructions_simulated
-        assert lean.expectation_batch(schedules, tfim4) == lean_values
-        assert lean.stats.instructions_simulated == simulated_before
-        # But the heavy states were never shipped to the parent.
-        fingerprints = {lean._chain(s)[1][-1] for s in schedules}
-        with lean._lock:
-            lean_states = {fp for fp in fingerprints if fp in lean._results}
-        with full._lock:
-            full_states = {fp for fp in fingerprints if fp in full._results}
-        assert not lean_states
-        assert full_states == fingerprints
-        lean.close()
-        full.close()
-
-    def test_run_batches_still_ship_states(self, device_noise, sweep_schedules):
-        _, schedules = sweep_schedules
-        engine = NoisyDensityMatrixEngine(device_noise, seed=1, expectations_only_ipc=True)
-        engine.run_batch(schedules, max_workers=WORKERS, parallelism="process")
-        for scheduled in schedules:
-            assert engine.run(scheduled).from_cache
-        engine.close()
-
-    def test_ipc_toggle_retires_worker_pool(self, device_noise, sweep_schedules, tfim4):
-        _, schedules = sweep_schedules
-        engine = NoisyDensityMatrixEngine(device_noise, seed=2)
-        engine.expectation_batch(
-            schedules[:2], tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        (first_pool,) = engine._pools.handles()
-        engine.expectations_only_ipc = True
-        engine.expectation_batch(
-            schedules[2:4], tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        (second_pool,) = engine._pools.handles()
-        assert second_pool is not first_pool
         engine.close()
 
 

@@ -2,14 +2,16 @@
 
 Covers the guarantees the parallel subsystem promises:
 
-* serial / thread / process parity — bit-identical results at ``shots=None``
-  and seed-deterministic sampled values otherwise, on all three engines;
+* serial / process parity — bit-identical results at ``shots=None`` and
+  seed-deterministic sampled values otherwise, on all three engines;
 * cache merge-on-return — a process batch leaves the parent engine's
   content-hash caches as warm as a serial one, and stats deltas fold back;
 * the prefix-aware shard scheduler — common-prefix grouping, duplicate
   co-location, cost balancing, degenerate sizes;
-* the ``(parallelism, max_workers)`` knob resolution, including the removed
-  historical ``max_workers``-only behaviour;
+* the ``(parallelism, max_workers)`` knob resolution: two tiers, and a
+  ``max_workers``-only request selects none;
+* pool lifecycle — persistent pools, stale-context retirement, and the
+  serial answer of an engine that cannot cross the process boundary;
 * frontend routing — estimator batches and window-tuner sweeps produce
   identical outcomes on every tier.
 
@@ -21,6 +23,7 @@ dedup, merge-back) without oversubscribing it.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ from repro.vqe import ExpectationEstimator
 
 WORKERS = 2
 
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -87,32 +90,32 @@ class TestResolveParallelism:
     def test_legacy_max_workers_semantics(self):
         assert resolve_parallelism(None, None, 8) == ParallelismPlan("serial", 1)
         assert resolve_parallelism(None, 1, 8) == ParallelismPlan("serial", 1)
-        # The implied-threads path went through its deprecation cycle and is
-        # now removed: the error points callers at the migration notes.
+        # A sizing knob never selects a tier: the error points callers at
+        # docs/api.md.
         with pytest.raises(EngineError, match="docs/api.md"):
             resolve_parallelism(None, 4, 8)
 
     def test_removed_implied_threads_raises_from_batch_calls(self, logical_circuits):
         engine = StatevectorEngine(seed=1)
-        with pytest.raises(EngineError, match="parallelism='thread'"):
+        with pytest.raises(EngineError, match="parallelism='process'"):
             engine.run_batch(logical_circuits, max_workers=4)
 
     def test_explicit_modes(self):
         assert resolve_parallelism("serial", 16, 8).mode == "serial"
-        assert resolve_parallelism("thread", 3, 8) == ParallelismPlan("thread", 3)
         assert resolve_parallelism("process", 3, 8) == ParallelismPlan("process", 3)
 
     def test_degenerate_requests_collapse_to_serial(self):
         assert resolve_parallelism("process", 4, 1).mode == "serial"
         assert resolve_parallelism("process", 1, 8).mode == "serial"
-        assert resolve_parallelism("thread", 4, 0).mode == "serial"
+        assert resolve_parallelism("process", 4, 0).mode == "serial"
 
     def test_workers_clamped_to_items(self):
         assert resolve_parallelism("process", 16, 3).workers == 3
 
     def test_unknown_mode_raises(self):
-        with pytest.raises(EngineError):
-            resolve_parallelism("gpu", 4, 8)
+        for mode in ("gpu", "thread"):
+            with pytest.raises(EngineError, match="expected one of"):
+                resolve_parallelism(mode, 2, 4)
 
 
 # ----------------------------------------------------------------------------
@@ -174,11 +177,10 @@ class TestNoisyEngineParity:
             mode: engine.run_batch(schedules, max_workers=WORKERS, parallelism=mode)
             for mode, engine in engines.items()
         }
-        for mode in ("thread", "process"):
-            for reference, other in zip(results["serial"], results[mode]):
-                assert reference.fingerprint == other.fingerprint
-                assert np.array_equal(reference.state.data, other.state.data)
-                assert np.array_equal(reference.probabilities, other.probabilities)
+        for reference, other in zip(results["serial"], results["process"]):
+            assert reference.fingerprint == other.fingerprint
+            assert np.array_equal(reference.state.data, other.state.data)
+            assert np.array_equal(reference.probabilities, other.probabilities)
         for engine in engines.values():
             engine.close()
 
@@ -191,7 +193,7 @@ class TestNoisyEngineParity:
             )
             for mode, engine in engines.items()
         }
-        assert exact["serial"] == exact["thread"] == exact["process"]
+        assert exact["serial"] == exact["process"]
         sampled = {
             mode: engine.expectation_batch(
                 schedules, tfim4, shots=256, max_workers=WORKERS, parallelism=mode
@@ -200,7 +202,7 @@ class TestNoisyEngineParity:
         }
         # Seed-deterministic: content-derived randomness is identical across
         # tiers and across engines constructed with the same seed.
-        assert sampled["serial"] == sampled["thread"] == sampled["process"]
+        assert sampled["serial"] == sampled["process"]
         for engine in engines.values():
             engine.close()
 
@@ -251,16 +253,15 @@ class TestStatevectorEngineParity:
             mode: engine.run_batch(logical_circuits, max_workers=WORKERS, parallelism=mode)
             for mode, engine in engines.items()
         }
-        for mode in ("thread", "process"):
-            for reference, other in zip(runs["serial"], runs[mode]):
-                assert np.array_equal(reference.state, other.state)
+        for reference, other in zip(runs["serial"], runs["process"]):
+            assert np.array_equal(reference.state, other.state)
         values = {
             mode: engine.expectation_batch(
                 logical_circuits, tfim4, max_workers=WORKERS, parallelism=mode
             )
             for mode, engine in engines.items()
         }
-        assert values["serial"] == values["thread"] == values["process"]
+        assert values["serial"] == values["process"]
         for engine in engines.values():
             engine.close()
 
@@ -285,24 +286,23 @@ class TestFakeDeviceEngineParity:
             mode: engine.run_batch(measured, max_workers=WORKERS, parallelism=mode)
             for mode, engine in engines.items()
         }
-        for mode in ("thread", "process"):
-            for reference, other in zip(runs["serial"], runs[mode]):
-                assert reference.counts == other.counts
-                assert np.array_equal(reference.probabilities, other.probabilities)
+        for reference, other in zip(runs["serial"], runs["process"]):
+            assert reference.counts == other.counts
+            assert np.array_equal(reference.probabilities, other.probabilities)
         exact = {
             mode: engine.expectation_batch(
                 measured, tfim4, shots=None, max_workers=WORKERS, parallelism=mode
             )
             for mode, engine in engines.items()
         }
-        assert exact["serial"] == exact["thread"] == exact["process"]
+        assert exact["serial"] == exact["process"]
         sampled = {
             mode: engine.expectation_batch(
                 measured, tfim4, max_workers=WORKERS, parallelism=mode
             )
             for mode, engine in engines.items()
         }
-        assert sampled["serial"] == sampled["thread"] == sampled["process"]
+        assert sampled["serial"] == sampled["process"]
         for engine in engines.values():
             engine.close()
 
@@ -360,6 +360,35 @@ class TestPoolLifecycle:
             assert np.array_equal(a.state.data, b.state.data)
         engine.close()
 
+    def test_engine_without_process_spec_runs_process_requests_serially(
+        self, logical_circuits, tfim4
+    ):
+        class InProcessEngine(StatevectorEngine):
+            def _process_spec(self):
+                return None
+
+            def _serial_call(self, kind, item, kwargs):
+                callers.add(threading.get_ident())
+                return super()._serial_call(kind, item, kwargs)
+
+        callers = set()
+        engine = InProcessEngine(seed=5)
+        values = engine.expectation_batch(
+            logical_circuits, tfim4, max_workers=WORKERS, parallelism="process"
+        )
+        assert values == StatevectorEngine(seed=5).expectation_batch(logical_circuits, tfim4)
+        assert callers == {threading.get_ident()}
+        # The scheduler accounts the batch on the process tier's slots and
+        # runs it serially on one of its own threads.
+        callers.clear()
+        futures = engine.submit_expectation_batch(
+            logical_circuits, tfim4, max_workers=WORKERS, parallelism="process"
+        )
+        assert [future.result() for future in futures] == values
+        assert len(callers) == 1 and threading.get_ident() not in callers
+        assert engine._pools.handles() == []
+        engine.close()
+
 
 # ----------------------------------------------------------------------------
 # Frontend routing
@@ -376,7 +405,7 @@ class TestFrontendRouting:
             )
             values[mode] = [r.value for r in results]
             estimator.engine.close()
-        assert values["serial"] == values["thread"] == values["process"]
+        assert values["serial"] == values["process"]
 
     def test_tuner_sweeps_identical_across_tiers(self, device_noise, sweep_schedules, tfim4):
         compiled, _ = sweep_schedules
@@ -395,16 +424,17 @@ class TestFrontendRouting:
             )
             outcomes[mode] = tuner.tune(compiled.scheduled, compiled.idle_windows)
             estimator.engine.close()
-        serial = outcomes["serial"]
-        for mode in ("thread", "process"):
-            assert outcomes[mode].baseline_value == serial.baseline_value
-            assert outcomes[mode].tuned_value == serial.tuned_value
-            assert outcomes[mode].num_evaluations == serial.num_evaluations
-            assert outcomes[mode].chosen_configurations() == serial.chosen_configurations()
+        serial, process = outcomes["serial"], outcomes["process"]
+        assert process.baseline_value == serial.baseline_value
+        assert process.tuned_value == serial.tuned_value
+        assert process.num_evaluations == serial.num_evaluations
+        assert process.chosen_configurations() == serial.chosen_configurations()
 
     def test_vaqem_config_validates_parallelism(self):
-        with pytest.raises(VAQEMError):
-            VAQEMConfig(parallelism="warp")
+        # Checked at construction, not at a tuning run's first submission.
+        for knobs in ({"parallelism": "warp"}, {"parallelism": "thread"}, {"max_workers": 4}):
+            with pytest.raises(VAQEMError):
+                VAQEMConfig(**knobs)
         assert VAQEMConfig(parallelism="process", max_workers=2).parallelism == "process"
 
     def test_noisy_objective_factory_accepts_engine_only(self, device, device_noise, tfim4):

@@ -10,9 +10,9 @@ claims:
 
 * dense and PTM engines agree on expectations, probabilities and
   density matrices to ``<= 1e-9`` on every schedule;
-* PTM results are identical across the serial, thread and process tiers, and
-  the serial tier's batched measurement fast path equals sequential
-  per-item calls bit for bit;
+* PTM results are identical across the serial and process tiers, and the
+  serial tier's batched measurement fast path equals sequential per-item
+  calls bit for bit;
 * a warm PTM engine resuming from checkpoints is bit-identical to a cold
   one (fusion never crosses the stride grid, and the engine aligns its
   checkpoint depths to it);
@@ -109,7 +109,7 @@ class TestPtmTierExactness:
             noise, seed=11, kernel="dense"
         ).expectation_batch(schedules, observable)
         values = {}
-        for tier in ("serial", "thread", "process"):
+        for tier in ("serial", "process"):
             engine = NoisyDensityMatrixEngine(noise, seed=11, kernel="ptm")
             try:
                 values[tier] = engine.expectation_batch(
@@ -117,7 +117,7 @@ class TestPtmTierExactness:
                 )
             finally:
                 engine.close()
-        assert values["serial"] == values["thread"] == values["process"]
+        assert values["serial"] == values["process"]
         for a, b in zip(values["serial"], dense_values):
             assert abs(a - b) <= ATOL
 
@@ -142,7 +142,7 @@ class TestPtmTierExactness:
             for seed in SAMPLING_SEEDS[:4]
         ]
         per_tier = {}
-        for tier in ("serial", "thread"):
+        for tier in ("serial", "process"):
             engine = NoisyDensityMatrixEngine(noise, seed=23, kernel="ptm")
             try:
                 per_tier[tier] = engine.expectation_batch(
@@ -150,7 +150,7 @@ class TestPtmTierExactness:
                 )
             finally:
                 engine.close()
-        assert per_tier["serial"] == per_tier["thread"]
+        assert per_tier["serial"] == per_tier["process"]
 
     def test_seeded_sampling_deterministic(self, device, noise):
         for seed in SAMPLING_SEEDS[:4]:

@@ -12,21 +12,23 @@ tests replay the benchmark's sweep configuration and pin three facts:
   leaves the tuned energy bit-identical;
 * the dense kernel reuses prefixes only: its sweep counts no segments,
   keeps every prefix resume and hands the shard planner no segment keys;
-* the tuned energy is bit-identical across serial, thread and process
-  tiers, and the counters honour each tier's determinism contract.  Serial
-  and process repeat runs report *identical* stats (serial trivially;
-  worker processes reset their reuse caches at shard start — ``_begin_shard``
-  — so every shard's delta is a pure function of shard content).  The
-  thread tier fans candidates of one batch out concurrently, so whether an
-  item finds a sibling's prefix snapshot is timing: a prefix-skip can
-  become a segment replay, shifting ``segment_hits`` (and the PTM kernel's
-  matmul/fusion tallies) without changing any result.  What stays pinned
-  on the thread tier: single-flight ``segment_misses`` (every distinct key
-  missed exactly once however threads interleave) and the instruction
-  totals ``instructions_simulated`` / ``instructions_reused``.
+* the tuned energy is bit-identical across the serial and process tiers
+  and a sweep whose candidates caller threads fan into one engine, and the
+  counters honour each path's determinism contract.  Serial and process
+  repeat runs report *identical* stats (serial trivially; worker processes
+  reset their reuse caches at shard start — ``_begin_shard`` — so every
+  shard's delta is a pure function of shard content).  With caller threads,
+  whether an item finds a sibling's prefix snapshot is timing: a prefix-skip
+  can become a segment replay, shifting ``segment_hits`` (and the PTM
+  kernel's matmul/fusion tallies) without changing any result.  What stays
+  pinned: single-flight ``segment_misses`` (every distinct key missed
+  exactly once however threads interleave) and the instruction totals
+  ``instructions_simulated`` / ``instructions_reused``.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -76,7 +78,14 @@ def _run_sweep(
     budget=FULL_BUDGET,
     parallelism=None,
     max_workers=2,
+    caller_threads=None,
 ):
+    """One window-tuner sweep on a fresh engine; returns ``(result, stats)``.
+
+    ``caller_threads=N`` replaces the scheduler with ``N`` caller threads:
+    each candidate batch fans out over them as one blocking single-item
+    ``estimate_batch`` call per candidate, all into the same engine.
+    """
     noise_model = NoiseModel.from_device(device)
     engine = NoisyDensityMatrixEngine(
         noise_model,
@@ -85,17 +94,29 @@ def _run_sweep(
         enable_segment_reuse=enable_segment_reuse,
     )
     estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
+    hamiltonian = application.hamiltonian
     batch_kwargs = (
         {} if parallelism is None else {"parallelism": parallelism, "max_workers": max_workers}
     )
-    tuner = IndependentWindowTuner(
-        objective=lambda ss: [
-            future.map(lambda r: r.value)
-            for future in estimator.submit_batch(ss, application.hamiltonian, **batch_kwargs)
-        ],
-        budget=TuningBudget(**budget),
-    )
+    if caller_threads is None:
+        def objective(schedules):
+            return [
+                future.map(lambda r: r.value)
+                for future in estimator.submit_batch(schedules, hamiltonian, **batch_kwargs)
+            ]
+    else:
+        pool = ThreadPoolExecutor(max_workers=caller_threads)
+
+        def evaluate(scheduled):
+            return estimator.estimate_batch([scheduled], hamiltonian)[0].value
+
+        def objective(schedules):
+            return [pool.submit(evaluate, scheduled) for scheduled in schedules]
+
+    tuner = IndependentWindowTuner(objective=objective, budget=TuningBudget(**budget))
     result = tuner.tune(compiled.scheduled, compiled.idle_windows)
+    if caller_threads is not None:
+        pool.shutdown()
     engine.close()
     return result, engine.stats
 
@@ -151,31 +172,24 @@ def test_dense_kernel_reuses_prefixes_only(h2_sweep_inputs, h2_sweep):
 
 class TestTierDeterminism:
     """Counters are a pure function of the workload on every tier, and the
-    tuned energy is bit-identical across tiers."""
+    tuned energy is bit-identical across tiers and under caller threads."""
 
     @pytest.fixture(scope="class")
     def tier_sweeps(self, h2_sweep_inputs):
         application, device, compiled = h2_sweep_inputs
-        sweeps = {}
-        for tier in (None, "thread", "process"):
-            sweeps[tier] = [
+        sweeps = {
+            tier: [
                 _run_sweep(
-                    application,
-                    device,
-                    compiled,
-                    budget=SMALL_BUDGET,
-                    parallelism=tier,
+                    application, device, compiled, budget=SMALL_BUDGET, parallelism=tier
                 )
                 for _ in range(2)
             ]
+            for tier in (None, "process")
+        }
+        sweeps["caller_threads"] = [
+            _run_sweep(application, device, compiled, budget=SMALL_BUDGET, caller_threads=2)
+        ]
         return sweeps
-
-    #: Counters the thread tier cannot pin: snapshot-resume depth races turn
-    #: prefix-skips into segment replays (and regroup the PTM kernel's fused
-    #: runs), shifting the split — never the totals, never a result.
-    TIMING_SPLIT_COUNTERS = frozenset(
-        {"segment_hits", "segment_hit_rate", "instructions_fused", "ptm_matmuls"}
-    )
 
     @pytest.mark.parametrize("tier", [None, "process"])
     def test_repeat_runs_are_identical(self, tier_sweeps, tier):
@@ -184,29 +198,19 @@ class TestTierDeterminism:
         assert first_stats.as_dict() == second_stats.as_dict()
         assert first_stats.segment_hits > 0
 
-    def test_thread_repeat_runs_pin_everything_but_the_hit_split(self, tier_sweeps):
-        (first_result, first_stats), (second_result, second_stats) = tier_sweeps[
-            "thread"
-        ]
-        assert first_result.tuned_value == second_result.tuned_value
-        first, second = first_stats.as_dict(), second_stats.as_dict()
-        pinned = set(first) - self.TIMING_SPLIT_COUNTERS
-        assert {k: first[k] for k in pinned} == {k: second[k] for k in pinned}
-        assert first_stats.segment_hits > 0
-        assert second_stats.segment_hits > 0
-
     def test_energy_bit_identical_across_tiers(self, tier_sweeps):
         values = {sweeps[0][0].tuned_value for sweeps in tier_sweeps.values()}
         assert len(values) == 1
 
     def test_serial_and_thread_share_one_cache_profile(self, tier_sweeps):
         # One engine, one single-flight segment cache: every distinct key is
-        # missed exactly once however threads interleave, and the scheduler's
-        # item-level slicing keeps the instruction counters tier-invariant.
-        # (segment_hits may legitimately differ: the thread tier starts items
-        # before sibling snapshots exist, so fewer prefix skips, more replays.)
+        # missed exactly once however caller threads interleave, and the
+        # instruction counters do not depend on the interleaving.
+        # (segment_hits may legitimately differ: a thread can start an item
+        # before a sibling's snapshot exists, so fewer prefix skips, more
+        # replays.)
         serial = tier_sweeps[None][0][1]
-        thread = tier_sweeps["thread"][0][1]
+        thread = tier_sweeps["caller_threads"][0][1]
         for counter in (
             "segment_misses",
             "instructions_simulated",

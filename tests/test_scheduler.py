@@ -93,7 +93,7 @@ def _items(prefix: str, count: int = 2):
     return [("root", f"{prefix}-{index}") for index in range(count)]
 
 
-def _submit(scheduler, tag, items, *, tier="thread", submitter=None, priority=0, gated=None):
+def _submit(scheduler, tag, items, *, tier="process", submitter=None, priority=0, gated=None):
     if gated is not None:
         gated.engine.gates.setdefault(tag, gated.event)
     return scheduler.submit(
@@ -114,12 +114,12 @@ class TestSlotPolicy:
         futures += _submit(scheduler, "B1", _items("b"))
         futures += _submit(scheduler, "C1", _items("c"))
         assert engine.wait_started(2)
-        # The third disjoint batch must wait: the thread tier has two slots.
+        # The third disjoint batch must wait: the process tier has two slots.
         assert not engine.wait_started(3, timeout=0.25)
         gate.set()
         gather(futures)
         scheduler.shutdown()
-        assert engine.max_active == DEFAULT_SLOTS["thread"] == 2
+        assert engine.max_active == DEFAULT_SLOTS["process"] == 2
 
     def test_serial_tier_never_overlaps(self):
         engine = _ProbeEngine()
@@ -255,7 +255,7 @@ class TestItemLevelDependencies:
         disjoint."""
         engine = _ProbeEngine()
         scheduler = BatchScheduler(
-            engine, slots={"thread": 3, "process": 3}, name="test-scheduler"
+            engine, slots={"process": 3}, name="test-scheduler"
         )
         gate_a, gate_b = threading.Event(), threading.Event()
         engine.gates["A1"] = gate_a
@@ -303,7 +303,7 @@ class TestItemLevelDependencies:
 class TestFairnessAndPriority:
     def _single_slot_scheduler(self, engine):
         return BatchScheduler(
-            engine, slots={"thread": 1, "process": 1}, name="test-scheduler"
+            engine, slots={"process": 1}, name="test-scheduler"
         )
 
     def test_round_robin_across_submitters(self):
@@ -359,13 +359,26 @@ class TestFairnessAndPriority:
         scheduler.shutdown()
         assert engine.started == ["A1", "B1", "C1", "A2"]
 
+    @pytest.mark.parametrize("tier", ("gpu", "thread"))
+    def test_slot_table_rejects_unknown_tiers(self, tier):
+        with pytest.raises(EngineError, match="unknown tier"):
+            BatchScheduler(_ProbeEngine(), slots={tier: 4}, name="test-scheduler")
+        # On an engine the table is read when the first submission builds
+        # the scheduler: that submission fails instead of running with the
+        # entry silently ignored.
+        engine = StatevectorEngine(seed=1)
+        engine.scheduler_slots = {tier: 4}
+        with pytest.raises(EngineError, match="unknown tier"):
+            engine.submit_batch([])
+        engine.close()
+
     def test_scheduler_slots_are_per_engine(self):
         from repro.engine.scheduler import DEFAULT_SLOTS as defaults
 
         one = StatevectorEngine(seed=1)
         two = StatevectorEngine(seed=1)
-        one.scheduler_slots["thread"] = 8
-        assert two.scheduler_slots["thread"] == defaults["thread"] == 2
+        one.scheduler_slots["process"] = 8
+        assert two.scheduler_slots["process"] == defaults["process"] == 2
         one.close()
         two.close()
 
@@ -460,7 +473,7 @@ class TestJobFingerprints:
 # Two frontends sharing one engine (the multi-tenant story)
 # ----------------------------------------------------------------------------
 
-def _run_frontends_concurrently(engine, workloads, hamiltonian, tier="thread"):
+def _run_frontends_concurrently(engine, workloads, hamiltonian, tier="process"):
     """Each workload runs on its own thread through its own estimator."""
     estimators = [
         ExpectationEstimator(engine.noise_model, seed=9, engine=engine) for _ in workloads
@@ -491,7 +504,7 @@ def _run_frontends_concurrently(engine, workloads, hamiltonian, tier="thread"):
 
 
 class TestConcurrentFrontendParity:
-    @pytest.mark.parametrize("tier", ("thread", "process"))
+    @pytest.mark.parametrize("tier", ("serial", "process"))
     def test_bit_identical_to_serial_drain(
         self, device_noise, two_frontend_workloads, tfim4, tier
     ):
@@ -515,15 +528,15 @@ class TestConcurrentFrontendParity:
         shared.close()
         reference_engine.close()
 
-    @pytest.mark.parametrize("tier", ("thread", "process"))
+    @pytest.mark.parametrize("tier", ("serial", "process"))
     def test_overlapping_batches_bit_identical_to_serial_drain(
         self, device_noise, overlapping_workloads, tfim4, tier
     ):
         """Item-level edges under racing completions: the two frontends'
-        batches share exactly one item (the base schedule), so the scheduler
-        overlaps them on the candidates and serializes only the base — and
-        the values still match a serial drain bit for bit on the thread and
-        process tiers."""
+        batches share exactly one item (the base schedule), so on the process
+        tier the scheduler overlaps them on the candidates and serializes
+        only the base (the serial tier overlaps nothing) — and on both tiers
+        the values still match a serial drain bit for bit."""
         shared = NoisyDensityMatrixEngine(device_noise, seed=3)
         workloads = [[family] for family in overlapping_workloads]
         concurrent = _run_frontends_concurrently(shared, workloads, tfim4, tier=tier)
@@ -608,6 +621,25 @@ class TestPoolSharing:
         registry.release(key_3)
         registry.shutdown()
         assert registry.handles() == []
+
+    def test_registry_reuses_an_idle_pool_unless_it_is_too_small(self):
+        # The process tier clamps its worker count to the batch size, so a
+        # 2-item batch after a 3-item one asks for 2 workers: the idle
+        # 3-worker pool, and its warm worker caches, must serve it.
+        registry = ProcessPoolRegistry()
+        spec = EngineWorkerSpec(StatevectorEngine, {"seed": 1}, cache_key="ctx-a")
+        executor_3, key_3 = registry.acquire(spec, 3)
+        registry.release(key_3)
+        executor_2, key_2 = registry.acquire(spec, 2)
+        assert executor_2 is executor_3 and key_2 == key_3
+        registry.release(key_2)
+        # A batch needing more workers than the idle pool has replaces it.
+        executor_4, key_4 = registry.acquire(spec, 4)
+        assert executor_4 is not executor_3
+        assert [handle.key for handle in registry.handles()] == [key_4]
+        assert key_4[1] == 4
+        registry.release(key_4)
+        registry.shutdown()
 
     def test_registry_retires_idle_stale_pools_immediately(self):
         registry = ProcessPoolRegistry()

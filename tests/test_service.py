@@ -29,6 +29,7 @@ import randomized
 from repro.circuits import QuantumCircuit, efficient_su2
 from repro.engine import NoisyDensityMatrixEngine
 from repro.exceptions import (
+    EngineError,
     QueueDepthError,
     RateLimitError,
     ResourceLimitError,
@@ -147,6 +148,15 @@ class TestAdmission:
         assert controller.in_flight == 3
         assert controller.tenant_in_flight("a") == 1
         assert controller.tenant_in_flight("b") == 2
+
+    @pytest.mark.parametrize(
+        "knobs", [{"parallelism": "gpu"}, {"parallelism": "thread"}, {"max_workers": 4}]
+    )
+    def test_config_rejects_what_no_engine_would_run(self, knobs):
+        # Checked at construction: such a service would otherwise start and
+        # then fail every request that misses the store.
+        with pytest.raises(EngineError):
+            ServiceConfig(**knobs)
 
 
 # ----------------------------------------------------------------------------
