@@ -15,6 +15,10 @@ slot scheduler against a serial FIFO drain, and compares the dense and PTM
 simulation kernels on identical inputs (``docs/ptm.md``), so future perf PRs
 have a machine-readable trajectory (``BENCH_engine.json``) to compare against.
 ``docs/benchmarks.md`` explains every leg.
+
+Exits 1 when a leg raises or a correctness gate (:data:`CORRECTNESS_GATES`)
+does not read true; the file is written either way, and every failed gate
+is named on standard output and under ``failed_gates``.
 """
 
 from __future__ import annotations
@@ -69,6 +73,70 @@ def _smoke_runners():
         ("fig15_execution_time", lambda: bench_fig15_execution_time._time_breakdowns(angle_iterations=50)),
         ("fig16_temporal_variability", lambda: bench_fig16_temporal_variability._drift_series(hours=6, step_hours=3)),
     ]
+
+
+#: The smoke suite's correctness gates, as dotted paths into the payload.
+#: Each must read ``true``; ``converged`` is informational and not among them.
+CORRECTNESS_GATES = (
+    "h2_window_tuner.energies_exact_match",
+    "h2_concurrent_frontends.values_exact_match",
+    "segment_reuse.energies_bit_identical",
+    "segment_reuse.randomized_families.probabilities_bit_identical",
+    "ptm_kernel_comparison.randomized_families.ptm_beats_dense_contractions",
+    "spsa_convergence.spsa.evaluations_match_contract",
+    "spsa_convergence.spsa_fewer_circuits",
+    "adaptive_shots.adaptive_beats_uniform_stderr",
+)
+
+
+def failed_gates(payload) -> list:
+    """The correctness gates that do not read ``true``, by name.
+
+    A gate whose leg raised is skipped: the leg is already under
+    ``failures``.  A gate missing from a leg that ran counts as failed.
+    """
+    failed = []
+    for gate in CORRECTNESS_GATES:
+        leg, *path = gate.split(".")
+        value = payload.get(leg)
+        if value is None:
+            continue
+        for part in path:
+            value = value.get(part) if isinstance(value, dict) else None
+        if value is not True:
+            failed.append(gate)
+    return failed
+
+
+def stable_service_counters(result):
+    """The service-load leg with each race-dependent counter split replaced
+    by its sum.
+
+    Two tenants submitting one program at once can both miss the fleet
+    store, and the engine then serves the later one from its result cache.
+    So store hits against misses, a tenant's dedupe hits against store
+    misses, and the engine's cache hits and executions move between runs of
+    the same code; their sums (and the engine's cache misses, which are
+    executions less cache hits) do not.
+    """
+    result = dict(result)
+    store = result["fleet_store"]
+    result["fleet_store"] = {
+        "entries": store["entries"],
+        "lookups": store["hits"] + store["misses"],
+    }
+    result["engine_stats"] = {
+        name: value
+        for name, value in result["engine_stats"].items()
+        if name not in ("cache_hits", "executions", "hit_rate")
+    }
+    tenants = {}
+    for name, metrics in result["per_tenant"].items():
+        metrics = dict(metrics)
+        metrics["store_lookups"] = metrics.pop("dedupe_hits") + metrics.pop("store_misses")
+        tenants[name] = metrics
+    result["per_tenant"] = tenants
+    return result
 
 
 #: Worker count for the process legs of the H2 comparison and the
@@ -1175,12 +1243,15 @@ def main() -> None:
         "ingestion": ingestion,
         "spsa_convergence": spsa_convergence,
         "adaptive_shots": adaptive_shots,
-        "service_load": service_load,
+        "service_load": service_load and stable_service_counters(service_load),
     }
+    payload["failed_gates"] = failed_gates(payload)
+    for gate in payload["failed_gates"]:
+        print(f"[run_all] correctness gate FAILED: {gate} is not true")
     output = Path(args.output)
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[run_all] wrote {output}")
-    if failures:
+    if failures or payload["failed_gates"]:
         sys.exit(1)
 
 

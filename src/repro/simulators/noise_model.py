@@ -27,6 +27,7 @@ import numpy as np
 from ..backends.device import DeviceModel
 from ..exceptions import NoiseModelError
 from . import channels
+from .contraction import qubit_plan
 
 
 @dataclass
@@ -61,6 +62,19 @@ class ChannelOp:
             superop.flags.writeable = False
             self._superop = superop
         return self._superop
+
+    @classmethod
+    def from_superop(cls, superop: np.ndarray, qubits: Tuple[int, ...]) -> "ChannelOp":
+        """The channel with the given superoperator, kept exactly as given.
+
+        Its Kraus set (what the PTM kernel compiles) is the minimal one of the
+        Choi matrix, every positive eigenvalue kept, so it agrees with
+        ``superop`` to rounding.
+        """
+        op = cls(channels.kraus_from_superop(superop, atol=0.0), tuple(qubits))
+        superop.flags.writeable = False
+        op._superop = superop
+        return op
 
 
 class NoiseModel:
@@ -213,6 +227,31 @@ class NoiseModel:
         """Noise applied together with a gate (after its ideal unitary)."""
         key = ("gate", name, tuple(qubits), self._flag_key())
         return self._cached_channels(key, lambda: self._build_gate_channels(name, qubits))
+
+    def gate_step(self, name: str, qubits: Tuple[int, ...], matrix: np.ndarray) -> ChannelOp:
+        """One gate as one channel on ``qubits``: its unitary ``matrix``, then
+        every one of :meth:`gate_channels`, composed once.
+
+        Memoised per (name, physical qubits, matrix content, flags), so a
+        schedule walk applies each distinct gate step as one precomposed
+        superoperator instead of a unitary plus a channel per noise process.
+        """
+        key = ("step", name, qubits, matrix.tobytes(), self._flag_key())
+        return self._cached_channels(
+            key, lambda: [self._build_gate_step(name, qubits, matrix)]
+        )[0]
+
+    def _build_gate_step(self, name: str, qubits: Tuple[int, ...], matrix: np.ndarray) -> ChannelOp:
+        width = len(qubits)
+        superop = ChannelOp([matrix], qubits).superop
+        # Each column of the superoperator is a vectorised density matrix;
+        # a channel applies to every column on its qubits' row and column axes.
+        shape = (2,) * (2 * width) + (4 ** width,)
+        for op in self.gate_channels(name, qubits):
+            axes = tuple(qubits.index(q) for q in op.qubits)
+            plan = qubit_plan(shape, axes, width, (0, width))
+            superop = plan.apply(op.superop, superop)
+        return ChannelOp.from_superop(np.ascontiguousarray(superop), qubits)
 
     def _build_gate_channels(self, name: str, qubits: Sequence[int]) -> List[ChannelOp]:
         name = name.lower()

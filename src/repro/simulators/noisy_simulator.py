@@ -2,8 +2,10 @@
 
 This simulator plays the role of the quantum machine in the reproduction: it
 walks a :class:`~repro.transpiler.scheduling.ScheduledCircuit` in time order,
-applying each gate's unitary followed by its noise channels, and — crucially
-for idle-time error mitigation — applying idle noise (relaxation, coherent
+applying each gate as one channel — its unitary followed by its noise
+channels, composed once per distinct gate by the noise model
+(:meth:`~repro.simulators.noise_model.NoiseModel.gate_step`) — and, crucially
+for idle-time error mitigation, applying idle noise (relaxation, coherent
 detuning phase, ZZ crosstalk with idle neighbours) for every gap a qubit
 spends doing nothing.  Because the coherent idle errors are applied at the
 times they physically occur, echo pulses and DD sequences inserted into idle
@@ -29,31 +31,33 @@ content keys digest the same order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import SimulationError
 from ..transpiler.scheduling import ScheduledCircuit, TimedInstruction
 from .density_matrix import DensityMatrix
-from .noise_model import NoiseModel
+from .noise_model import ChannelOp, NoiseModel
 from .readout import apply_readout_error, probabilities_to_counts
 
 
 @dataclass
 class SimOp:
-    """One state-space operation of a schedule's op stream.
+    """One state-space operation of a schedule's op stream: a channel on
+    circuit ``positions``.
 
-    ``kind`` is ``"unitary"`` (``payload`` is the gate matrix) or
-    ``"channel"`` (``payload`` is a :class:`~repro.simulators.noise_model.ChannelOp`).
-    ``index`` is the position of the originating instruction in the context's
-    processing order — backends use it to align work (e.g. fusion boundaries)
-    to instruction boundaries deterministically.
+    The channel is an idle or measurement-prelude noise channel, or a whole
+    gate step (unitary and gate noise in one channel).  ``index`` is the
+    position of the originating instruction in the context's processing
+    order — backends use it to align work (e.g. fusion boundaries) to
+    instruction boundaries deterministically.
     """
 
-    kind: str
-    payload: object
+    channel: ChannelOp
     positions: Tuple[int, ...]
     index: int
 
@@ -64,6 +68,9 @@ class ScheduleContext:
 
     ordered: List[TimedInstruction]
     busy: Dict[int, List[Tuple[float, float]]]
+    #: Per position, the running maximum of ``busy``'s end times: where an
+    #: idle-overlap scan can start (see :meth:`NoisySimulator._idle_overlap`).
+    busy_reach: Dict[int, List[float]]
     neighbors: Dict[int, List[int]]
     initial_last_time: Dict[int, float]
     #: Circuit position of each physical qubit in the layout.
@@ -122,9 +129,14 @@ class NoisySimulator:
             ops = [t for t in ordered if position in t.qubits and t.name != "barrier"]
             initial_last_time[position] = min((t.start_ns for t in ops), default=0.0)
         positions = {p: i for i, p in enumerate(scheduled.physical_qubits)}
+        busy = self._busy_intervals(scheduled)
         return ScheduleContext(
             ordered=ordered,
-            busy=self._busy_intervals(scheduled),
+            busy=busy,
+            busy_reach={
+                q: list(accumulate((b_end for _, b_end in spans), max))
+                for q, spans in busy.items()
+            },
             neighbors=self._coupled_positions(scheduled, positions),
             initial_last_time=initial_last_time,
             positions=positions,
@@ -157,10 +169,7 @@ class NoisySimulator:
         for op in self.schedule_ops(
             scheduled, context, cursor.last_time, cursor.next_index, stop
         ):
-            if op.kind == "unitary":
-                state.apply_unitary(op.payload, op.positions)
-            else:
-                state.apply_superop(op.payload.superop, op.positions)
+            state.apply_superop(op.channel.superop, op.positions)
         cursor.next_index = stop
         return cursor
 
@@ -194,25 +203,13 @@ class NoisySimulator:
                 )
             if name == "measure":
                 for op in noise.measurement_prelude_channels(scheduled.physical_qubit(timed.qubits[0])):
-                    yield SimOp(
-                        "channel",
-                        op,
-                        self._map_positions(context, op.qubits, timed.qubits),
-                        index,
-                    )
+                    yield SimOp(op, self._map_positions(context, op.qubits, timed.qubits), index)
                 last_time[timed.qubits[0]] = timed.end_ns
                 continue
             if name not in ("id", "delay"):
-                yield SimOp(
-                    "unitary",
-                    timed.instruction.gate.matrix(),
-                    tuple(timed.qubits),
-                    index,
-                )
-                physical = [scheduled.physical_qubit(q) for q in timed.qubits]
-                for op in noise.gate_channels(name, physical):
-                    positions = self._physical_to_positions(context, op.qubits)
-                    yield SimOp("channel", op, positions, index)
+                physical = tuple(scheduled.physical_qubit(q) for q in timed.qubits)
+                step = noise.gate_step(name, physical, timed.instruction.gate.matrix())
+                yield SimOp(step, tuple(timed.qubits), index)
             for position in timed.qubits:
                 last_time[position] = timed.end_ns
 
@@ -255,17 +252,23 @@ class NoisySimulator:
         return coupled
 
     @staticmethod
-    def _idle_overlap(busy: List[Tuple[float, float]], start: float, end: float) -> float:
+    def _idle_overlap(
+        busy: List[Tuple[float, float]], reach: List[float], start: float, end: float
+    ) -> float:
         """Length of [start, end] during which a qubit with the given busy list idles.
 
-        ``busy`` is sorted by start time, so intervals from the first one
-        starting at or beyond ``end`` contribute exactly zero and the scan
-        stops there (an arithmetic no-op, not an approximation).
+        ``busy`` is sorted by start time and ``reach`` holds the running
+        maximum of its end times.  The scan starts at the first interval whose
+        reach exceeds ``start`` (every earlier one ends by ``start``) and
+        stops at the first one starting at or beyond ``end``: the skipped
+        intervals contribute exactly zero, so the sum is the full scan's,
+        bit for bit.
         """
         if end <= start:
             return 0.0
         occupied = 0.0
-        for b_start, b_end in busy:
+        for index in range(bisect_right(reach, start), len(busy)):
+            b_start, b_end = busy[index]
             if b_start >= end:
                 break
             lo = max(start, b_start)
@@ -290,10 +293,11 @@ class NoisySimulator:
         if end - start <= 1e-9:
             return None
         busy = context.busy
+        reach = context.busy_reach
         return tuple(
             other
             for other in context.neighbors[position]
-            if cls._idle_overlap(busy[other], start, end) >= 0.5 * (end - start)
+            if cls._idle_overlap(busy[other], reach[other], start, end) >= 0.5 * (end - start)
         )
 
     def _idle_ops(
@@ -313,15 +317,11 @@ class NoisySimulator:
         ops = self.noise_model.idle_channels(physical, start, end, idle_neighbors)
         for op in ops:
             if len(op.qubits) == 1:
-                yield SimOp("channel", op, (position,), index)
+                yield SimOp(op, (position,), index)
             else:
                 # Two-qubit (ZZ) channel: map physical qubits back to positions.
                 other_position = partners[idle_neighbors.index(op.qubits[1])]
-                yield SimOp("channel", op, (position, other_position), index)
-
-    @staticmethod
-    def _physical_to_positions(context: ScheduleContext, physical: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(context.positions[p] for p in physical)
+                yield SimOp(op, (position, other_position), index)
 
     @staticmethod
     def _map_positions(context: ScheduleContext, op_qubits, fallback_positions) -> Tuple[int, ...]:

@@ -2,16 +2,17 @@
 
 In the PTM picture an n-qubit state is the real vector of its components in
 the normalised Pauli basis ``b_a = P_a / 2**(n/2)`` (``r_a = Tr[b_a rho]``),
-and *every* operation — unitary gates and noise channels alike — is one real
+and *every* operation — gate steps and noise channels alike — is one real
 ``4**k x 4**k`` matrix acting on the targeted qubit axes:
 
     r' = R r,      R_ij = Tr[P_i E(P_j)] / 2**k.
 
-That uniformity is the whole point: where the dense backend applies a gate as
-two complex contractions and each Kraus channel as another, consecutive
-operations on the same qubit footprint here *fuse* into a single composed
-matrix (``R = R_m @ ... @ R_1``) applied once, and a batch of states evolves
-as one ``(batch, 4**n)`` real array per kernel call.  Fewer, larger,
+That uniformity is the whole point: where the dense backend applies each
+channel of the op stream (a gate arrives already composed with its noise) as
+one complex superoperator contraction, consecutive operations on the same
+qubit footprint here *fuse* into a single composed matrix
+(``R = R_m @ ... @ R_1``) applied once, and a batch of states evolves as one
+``(batch, 4**n)`` real array per kernel call.  Fewer, larger,
 BLAS-shaped kernels — the throughput lever this reproduction's hot path needs
 on CPU, and the layout a CuPy drop-in would want on GPU.
 
@@ -174,9 +175,7 @@ def channel_ptm(channel: ChannelOp) -> np.ndarray:
 
 def sim_op_ptm(op: SimOp) -> np.ndarray:
     """The PTM of one :class:`SimOp` from the schedule op stream."""
-    if op.kind == "unitary":
-        return unitary_ptm(op.payload)
-    return channel_ptm(op.payload)
+    return channel_ptm(op.channel)
 
 
 # ----------------------------------------------------------------------------
@@ -651,17 +650,18 @@ class PTMEvolver:
 def dense_contraction_count(noise_model: NoiseModel, scheduled) -> int:
     """How many tensor contractions the dense backend spends on a schedule.
 
-    Walks the op stream without simulating: a unitary costs two contractions
-    (U.., ..U^dagger), a channel superoperator one.  The benchmark's kernel
-    comparison uses this as the dense-side invocation count to set against
-    the PTM backend's ``ptm_matmuls``.
+    Walks the op stream without simulating: every op is one channel (a gate
+    step arrives composed with its noise), applied as one superoperator
+    contraction.  The benchmark's kernel comparison uses this as the
+    dense-side invocation count to set against the PTM backend's
+    ``ptm_matmuls``.
     """
     simulator = NoisySimulator(noise_model)
     context = simulator.prepare(scheduled)
     last_time = dict(context.initial_last_time)
-    count = 0
-    for op in simulator.schedule_ops(
-        scheduled, context, last_time, 0, len(context.ordered)
-    ):
-        count += 2 if op.kind == "unitary" else 1
-    return count
+    return sum(
+        1
+        for _ in simulator.schedule_ops(
+            scheduled, context, last_time, 0, len(context.ordered)
+        )
+    )

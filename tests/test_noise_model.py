@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.gates import Gate
 from repro.simulators import NoiseModel, is_valid_channel, thermal_relaxation_kraus
 
 
@@ -80,14 +81,31 @@ class TestRelaxationMemo:
         assert model.idle_channels(1, 0.0, 500.0)[0] is not first[0]
 
     def test_invalidation_and_flag_toggle_miss(self, device):
-        model = NoiseModel.from_calibration(device)
-        before = model.idle_channels(0, 0.0, 500.0)[0]
-        model.invalidate_channel_cache()
-        after = model.idle_channels(0, 100.0, 600.0)[0]
-        assert after is not before
-        assert model.idle_channels(0, 200.0, 700.0)[0] is after
-        model.include_coherent_errors = True
-        assert model.idle_channels(0, 300.0, 800.0)[0] is not after
+        """Idle relaxation and the gate step share the memo: a repeat lookup
+        hits (the gate step on equal matrix content), and invalidation or a
+        noise flag toggle misses and rebuilds."""
+        matrix = Gate("cx", 2).matrix()
+        cases = [
+            (lambda model, k: model.idle_channels(0, 100.0 * k, 100.0 * k + 500.0)[0],
+             "include_coherent_errors", True),
+            (lambda model, k: model.gate_step("cx", (0, 1), matrix.copy()),
+             "include_gate_error", False),
+            (lambda model, k: model.gate_step("cx", (1, 0), matrix.copy()),
+             "include_relaxation", False),
+        ]
+        for lookup, flag, value in cases:
+            model = NoiseModel.from_calibration(device)
+            before = lookup(model, 0)
+            model.invalidate_channel_cache()
+            after = lookup(model, 1)
+            assert after is not before
+            assert lookup(model, 2) is after
+            setattr(model, flag, value)
+            rebuilt = lookup(model, 3)
+            assert rebuilt is not after
+            fresh = NoiseModel.from_calibration(device)
+            setattr(fresh, flag, value)
+            assert np.array_equal(rebuilt.superop, lookup(fresh, 3).superop)
 
 
 class TestGateChannels:
@@ -110,6 +128,26 @@ class TestGateChannels:
 
     def test_ideal_flavour_has_no_gate_noise(self, ideal_noise):
         assert ideal_noise.gate_channels("cx", [0, 1]) == []
+
+    @pytest.mark.parametrize(
+        "name,qubits,params",
+        [("sx", (2,), ()), ("x", (0,), ()), ("rz", (1,), (0.7,)), ("rx", (3,), (-1.3,)),
+         ("cx", (0, 1), ()), ("cx", (1, 0), ()), ("cx", (3, 5), ())],
+    )
+    def test_gate_step_is_trace_preserving(self, device_noise, name, qubits, params):
+        """The gate step composes the unitary with every gate channel into
+        one trace-preserving channel on the gate's qubits, whose Kraus set
+        (what the PTM kernel compiles) gives its superoperator."""
+        step = device_noise.gate_step(name, qubits, Gate(name, len(qubits), params).matrix())
+        assert step.qubits == qubits
+        assert is_valid_channel(step.kraus)
+        dim = 2 ** len(qubits)
+        # Trace preservation in superoperator form: summing the output's
+        # diagonal rows leaves the input's trace functional.
+        diagonal = step.superop.reshape(dim, dim, dim * dim)[np.arange(dim), np.arange(dim)]
+        np.testing.assert_allclose(diagonal.sum(axis=0), np.eye(dim).reshape(-1), atol=1e-12)
+        np.testing.assert_allclose(kron_superop(step.kraus), step.superop, atol=1e-12)
+        assert not step.superop.flags.writeable
 
 
 class TestReadout:
