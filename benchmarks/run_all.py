@@ -117,9 +117,11 @@ def stable_service_counters(result):
     So store hits against misses, a tenant's dedupe hits against store
     misses, and the engine's cache hits and executions move between runs of
     the same code; their sums (and the engine's cache misses, which are
-    executions less cache hits) do not.
+    executions less cache hits) do not.  ``dedupe_hit_rate`` (store hits
+    over lookups) moves with them and is left out; stdout still prints it.
     """
     result = dict(result)
+    del result["dedupe_hit_rate"]
     store = result["fleet_store"]
     result["fleet_store"] = {
         "entries": store["entries"],

@@ -22,6 +22,7 @@ from .ptm import (
     PTMEvolver,
     kraus_to_ptm,
     pauli_basis,
+    superop_to_ptm,
     unitary_to_ptm,
 )
 from .readout import (
@@ -55,6 +56,7 @@ __all__ = [
     "pauli_basis",
     "unitary_to_ptm",
     "kraus_to_ptm",
+    "superop_to_ptm",
     "apply_readout_error",
     "tensor_confusion_matrix",
     "probabilities_to_counts",

@@ -19,7 +19,6 @@ Two flavours reproduce the paper's distinction between "noisy simulation" and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,17 +29,33 @@ from . import channels
 from .contraction import qubit_plan
 
 
-@dataclass
 class ChannelOp:
-    """A Kraus channel bound to the qubits it acts on."""
+    """A channel bound to the qubits it acts on.
 
-    kraus: List[np.ndarray]
-    qubits: Tuple[int, ...]
+    Built from Kraus operators (``ChannelOp(kraus, qubits)``) or from its
+    superoperator (:meth:`from_superop`); the other form is derived on first
+    read and kept on the instance.
+    """
 
-    def __post_init__(self):
+    def __init__(self, kraus: Optional[List[np.ndarray]], qubits: Tuple[int, ...]):
+        self._kraus = kraus
+        self.qubits = qubits
         self._superop: Optional[np.ndarray] = None
         #: The Pauli-transfer matrix, set by :func:`repro.simulators.ptm.channel_ptm`.
         self._ptm: Optional[np.ndarray] = None
+
+    @property
+    def kraus(self) -> List[np.ndarray]:
+        """The Kraus operators.
+
+        For a channel built from its superoperator this is the minimal set of
+        its Choi matrix, every positive eigenvalue kept, so it agrees with
+        :attr:`superop` to rounding.  Neither kernel reads it: both apply or
+        compile the superoperator.
+        """
+        if self._kraus is None:
+            self._kraus = channels.kraus_from_superop(self._superop, atol=0.0)
+        return self._kraus
 
     @property
     def superop(self) -> np.ndarray:
@@ -54,9 +69,9 @@ class ChannelOp:
         as ``np.kron`` lays it out, without its generic reshaping machinery.
         """
         if self._superop is None:
-            dim = self.kraus[0].shape[0]
+            dim = self._kraus[0].shape[0]
             superop = np.zeros((dim * dim, dim * dim), dtype=complex)
-            for k in self.kraus:
+            for k in self._kraus:
                 term = np.multiply.outer(k, k.conj()).transpose(0, 2, 1, 3)
                 superop += term.reshape(dim * dim, dim * dim)
             superop.flags.writeable = False
@@ -65,13 +80,8 @@ class ChannelOp:
 
     @classmethod
     def from_superop(cls, superop: np.ndarray, qubits: Tuple[int, ...]) -> "ChannelOp":
-        """The channel with the given superoperator, kept exactly as given.
-
-        Its Kraus set (what the PTM kernel compiles) is the minimal one of the
-        Choi matrix, every positive eigenvalue kept, so it agrees with
-        ``superop`` to rounding.
-        """
-        op = cls(channels.kraus_from_superop(superop, atol=0.0), tuple(qubits))
+        """The channel with the given superoperator, kept exactly as given."""
+        op = cls(None, tuple(qubits))
         superop.flags.writeable = False
         op._superop = superop
         return op
@@ -235,6 +245,9 @@ class NoiseModel:
         Memoised per (name, physical qubits, matrix content, flags), so a
         schedule walk applies each distinct gate step as one precomposed
         superoperator instead of a unitary plus a channel per noise process.
+        A miss (a new angle, a fresh noise model) costs the unitary's
+        superoperator and one small matmul with the gate's noise, which is
+        composed once per (name, qubits, flags).
         """
         key = ("step", name, qubits, matrix.tobytes(), self._flag_key())
         return self._cached_channels(
@@ -242,16 +255,28 @@ class NoiseModel:
         )[0]
 
     def _build_gate_step(self, name: str, qubits: Tuple[int, ...], matrix: np.ndarray) -> ChannelOp:
+        step = ChannelOp([matrix], qubits)
+        key = ("gate noise", name, qubits, self._flag_key())
+        for noise in self._cached_channels(key, lambda: self._build_gate_noise(name, qubits)):
+            step = ChannelOp.from_superop(noise.superop @ step.superop, qubits)
+        return step
+
+    def _build_gate_noise(self, name: str, qubits: Tuple[int, ...]) -> List[ChannelOp]:
+        """:meth:`gate_channels` composed into one channel on ``qubits`` (in
+        that order), or none for a noiseless gate."""
+        ops = self.gate_channels(name, qubits)
+        if not ops:
+            return []
         width = len(qubits)
-        superop = ChannelOp([matrix], qubits).superop
+        superop = np.eye(4 ** width, dtype=complex)
         # Each column of the superoperator is a vectorised density matrix;
         # a channel applies to every column on its qubits' row and column axes.
         shape = (2,) * (2 * width) + (4 ** width,)
-        for op in self.gate_channels(name, qubits):
+        for op in ops:
             axes = tuple(qubits.index(q) for q in op.qubits)
             plan = qubit_plan(shape, axes, width, (0, width))
             superop = plan.apply(op.superop, superop)
-        return ChannelOp.from_superop(np.ascontiguousarray(superop), qubits)
+        return [ChannelOp.from_superop(np.ascontiguousarray(superop), qubits)]
 
     def _build_gate_channels(self, name: str, qubits: Sequence[int]) -> List[ChannelOp]:
         name = name.lower()

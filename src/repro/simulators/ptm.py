@@ -19,8 +19,9 @@ on CPU, and the layout a CuPy drop-in would want on GPU.
 The module provides:
 
 * :func:`pauli_basis` — the (unnormalised) n-qubit Pauli operator basis,
-* :func:`unitary_to_ptm` / :func:`kraus_to_ptm` — PTM compilation, with
-  content-keyed LRU-cached fronts :func:`unitary_ptm` / :func:`channel_ptm`,
+* :func:`superop_to_ptm` (with :func:`unitary_to_ptm` / :func:`kraus_to_ptm`
+  through it) — PTM compilation, with content-keyed LRU-cached fronts
+  :func:`unitary_ptm` / :func:`channel_ptm`,
 * :class:`PauliVectorState` — one state *or a batch* as a ``(batch, 4**n)``
   real array, with probability/marginal semantics matching
   :class:`~repro.simulators.density_matrix.DensityMatrix` and direct Pauli
@@ -50,6 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SimulationError
+from .channels import superop_from_kraus
 from .contraction import qubit_plan
 from .density_matrix import DensityMatrix
 from .noise_model import ChannelOp, NoiseModel
@@ -97,24 +99,36 @@ def pauli_basis(num_qubits: int) -> np.ndarray:
 # PTM compilation (with a content-keyed LRU)
 # ----------------------------------------------------------------------------
 
-def kraus_to_ptm(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """The PTM of the channel with the given Kraus operators.
+@lru_cache(maxsize=None)
+def _pauli_vectors(num_qubits: int) -> np.ndarray:
+    """Row ``a`` is ``vec(P_a)``, the row-major vectorised Pauli operator."""
+    vectors = pauli_basis(num_qubits).reshape(4 ** num_qubits, -1)
+    vectors.setflags(write=False)
+    return vectors
 
-    ``R_ij = Tr[P_i sum_k K P_j K^dagger] / 2**n`` — real for any
-    Hermiticity-preserving map (every channel here), so the imaginary
-    residue is dropped.
+
+def superop_to_ptm(superop: np.ndarray) -> np.ndarray:
+    """The PTM of the channel with the given superoperator.
+
+    ``superop`` acts on row-major-vectorised density matrices (the layout of
+    ``ChannelOp.superop``), so ``R_ij = vec(P_i)^dagger S vec(P_j) / 2**n``:
+    one fixed change of basis.  The PTM is real for any Hermiticity-
+    preserving map (every channel here), so the imaginary residue is dropped.
     """
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    dim = kraus[0].shape[0]
+    superop = np.asarray(superop, dtype=complex)
+    dim = int(round(math.sqrt(superop.shape[0])))
     num_qubits = int(round(math.log2(dim)))
-    if 2 ** num_qubits != dim:
-        raise SimulationError("Kraus operator dimension is not a power of two")
-    basis = pauli_basis(num_qubits)
-    images = np.zeros_like(basis)
-    for k in kraus:
-        images += np.einsum("ab,jbc,dc->jad", k, basis, k.conj())
-    ptm = np.einsum("iab,jba->ij", basis, images).real / dim
+    if 2 ** num_qubits != dim or superop.shape != (dim * dim, dim * dim):
+        raise SimulationError("superoperator dimension is not 4**n x 4**n")
+    vectors = _pauli_vectors(num_qubits)
+    ptm = (vectors.conj() @ superop @ vectors.T).real / dim
     return np.ascontiguousarray(ptm)
+
+
+def kraus_to_ptm(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """The PTM of the channel with the given Kraus operators, compiled
+    through its superoperator (see :func:`superop_to_ptm`)."""
+    return superop_to_ptm(superop_from_kraus([np.asarray(k, dtype=complex) for k in kraus]))
 
 
 def unitary_to_ptm(matrix: np.ndarray) -> np.ndarray:
@@ -159,17 +173,19 @@ def unitary_ptm(matrix: np.ndarray) -> np.ndarray:
 
 
 def channel_ptm(channel: ChannelOp) -> np.ndarray:
-    """PTM of a noise channel, kept on the channel after the first call.
+    """PTM of a channel, compiled from its superoperator and kept on the
+    channel after the first call.
 
-    The first call looks it up in the LRU cache keyed on the Kraus operators'
-    content, so two channels built independently but with identical operator
-    entries (the common case: the noise model memoises channels per
-    qubit/duration, and many qubits share calibration values) compile once;
-    later calls on the same channel skip hashing its operators.
+    The first call looks it up in the LRU cache keyed on the superoperator's
+    content, so two channels built independently but with identical entries
+    (the common case: the noise model memoises channels per qubit/duration,
+    and many qubits share calibration values) compile once; later calls on
+    the same channel skip hashing it.
     """
     if channel._ptm is None:
-        key = ("kraus", _content_key(*channel.kraus))
-        channel._ptm = _cached_ptm(key, lambda: kraus_to_ptm(channel.kraus))
+        superop = channel.superop
+        key = ("superop", _content_key(superop))
+        channel._ptm = _cached_ptm(key, lambda: superop_to_ptm(superop))
     return channel._ptm
 
 
@@ -327,13 +343,9 @@ class PauliVectorState:
     def apply_superop(self, superop: np.ndarray, qubits: Sequence[int]) -> None:
         """Apply a channel given as a (column-stacking) superoperator.
 
-        Present for interface parity with :class:`DensityMatrix`; the
-        superoperator is converted through its Kraus form.
+        Present for interface parity with :class:`DensityMatrix`.
         """
-        from .channels import kraus_from_superop
-
-        kraus = kraus_from_superop(np.asarray(superop, dtype=complex))
-        self.apply_ptm(kraus_to_ptm(kraus), tuple(qubits))
+        self.apply_ptm(superop_to_ptm(superop), tuple(qubits))
 
     # -- measurement --------------------------------------------------------
     def batch_probabilities(self) -> np.ndarray:

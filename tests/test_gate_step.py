@@ -17,7 +17,7 @@ import pytest
 
 import randomized
 from repro.circuits.gates import Delay
-from repro.simulators import DensityMatrix, NoiseModel, PTMEvolver
+from repro.simulators import ChannelOp, DensityMatrix, NoiseModel, PTMEvolver
 from repro.simulators.noisy_simulator import NoisySimulator
 from repro.transpiler.scheduling import ScheduledCircuit
 
@@ -101,6 +101,27 @@ class TestGateStepAgainstReferenceWalk:
         # Two-qubit gates ran with the lower and the higher physical qubit
         # first, so per-qubit relaxation was embedded on both axes of a pair.
         assert pair_orders == {True, False}
+
+
+class TestGateStepMisses:
+    def test_neither_kernel_eigendecomposes_a_gate_step(self, device, monkeypatch):
+        """A gate step keeps only its superoperator: the dense kernel applies
+        it and the PTM kernel compiles it, so no miss pays for a Choi
+        eigendecomposition into Kraus operators.  Relaxation is off because
+        building its Kraus set eigendecomposes by design; gate error, the
+        detuning phase and ZZ crosstalk still compose into every step."""
+        from repro.simulators import channels
+
+        def refuse(*args):
+            raise AssertionError("Kraus operators of a gate step were derived")
+
+        monkeypatch.setattr(channels, "kraus_from_superop", refuse)
+        monkeypatch.setattr(ChannelOp, "kraus", property(refuse))
+        noise = NoiseModel(device, include_relaxation=False)
+        scheduled = randomized.random_schedule(STEP_SEEDS[0], device=device)
+        assert any(timed.name == "cx" for timed in scheduled.timed_instructions)
+        NoisySimulator(noise).run(scheduled)
+        PTMEvolver(noise).run(scheduled)
 
 
 class TestBisectedIdleOverlap:

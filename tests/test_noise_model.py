@@ -136,8 +136,8 @@ class TestGateChannels:
     )
     def test_gate_step_is_trace_preserving(self, device_noise, name, qubits, params):
         """The gate step composes the unitary with every gate channel into
-        one trace-preserving channel on the gate's qubits, whose Kraus set
-        (what the PTM kernel compiles) gives its superoperator."""
+        one trace-preserving channel on the gate's qubits, whose Kraus set,
+        derived from the kept superoperator on first read, gives it back."""
         step = device_noise.gate_step(name, qubits, Gate(name, len(qubits), params).matrix())
         assert step.qubits == qubits
         assert is_valid_channel(step.kraus)

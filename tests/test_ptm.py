@@ -104,6 +104,13 @@ class TestPtmCompilation:
         assert ptm.shape == (dim ** 2, dim ** 2)
         assert ptm.dtype == np.float64
         assert_trace_preserving(ptm)
+        # Compiled through the superoperator, the PTM is still the defining
+        # R_ij = Tr[P_i E(P_j)] / 2**n, with E applied Kraus operator by
+        # Kraus operator.
+        basis = pauli_basis(int(round(math.log2(dim))))
+        images = [sum(k @ p @ k.conj().T for k in kraus) for p in basis]
+        expected = [[np.trace(p @ image).real / dim for image in images] for p in basis]
+        np.testing.assert_allclose(ptm, expected, rtol=0, atol=ATOL)
 
     @settings(max_examples=25, deadline=None)
     @given(gamma=unit)
