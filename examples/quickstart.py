@@ -15,8 +15,9 @@ next); part 3 runs the paper's feasible flow (Fig. 11, right), whose
 pipeline routes every machine execution through a shared
 ``NoisyDensityMatrixEngine`` — which is what makes the per-window mitigation
 sweeps fast.  Batch methods also take ``parallelism="serial" | "process"``
-(plus ``max_workers``) to fan a sweep out across cores with bit-identical
-results; ``VAQEMConfig(parallelism="process")`` does the same
+(plus ``max_workers``); on ``NoisyDensityMatrixEngine`` the process tier fans
+a sweep out across cores with bit-identical results (the other two engines
+run it serially), and ``VAQEMConfig(parallelism="process")`` does the same
 for a whole pipeline, whose window tuner always overlaps each window sweep's
 candidate generation with execution: its one objective,
 ``VAQEMPipeline.make_objective()``, returns futures.

@@ -342,6 +342,7 @@ class QuantumCircuit:
 
         Qubit 0 is the most-significant bit of the state index (big-endian),
         matching the convention used throughout :mod:`repro.simulators`.
+        Tests compare decomposition, routing and simulation against it.
         """
         if self.has_measurements():
             raise CircuitError("cannot build the unitary of a circuit with measurements")

@@ -13,12 +13,15 @@ instantiating simulators ad hoc:
   ``<H>`` of a Pauli-sum observable for one or many circuits.
 
 Batch methods accept ``parallelism="serial" | "process"`` plus
-``max_workers``.  The process tier (:mod:`repro.engine.parallel`) rebuilds
-the engine in worker processes, shards the batch so prefix-reuse chains stay
-within one worker, and merges worker cache entries back into the parent.
-Results are identical on both tiers for a seeded engine (see the seeding
-contract below).  Engines are also safe to share between threads: caller
-threads and overlapping scheduler slots meet behind the engines' locks.
+``max_workers``.  On
+:class:`~repro.engine.density_engine.NoisyDensityMatrixEngine` the process
+tier (:mod:`repro.engine.parallel`) rebuilds the engine in worker processes,
+shards the batch so prefix-reuse chains stay within one worker, and merges
+worker cache entries back into the parent; every other engine runs a
+``"process"`` request serially.  Results are identical on both tiers for a
+seeded engine (see the seeding contract below).  Engines are also safe to
+share between threads: caller threads and overlapping scheduler slots meet
+behind the engines' locks.
 
 Every batch method also has an asynchronous counterpart — :meth:`submit`,
 :meth:`submit_batch`, :meth:`submit_expectation_batch` — returning ordered
@@ -82,14 +85,13 @@ import abc
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import EngineError
 from .futures import DEFAULT_MAX_PENDING, EngineFuture
 from .parallel import (
-    CacheRecord,
     EngineWorkerSpec,
     ProcessPoolRegistry,
     process_map,
@@ -284,7 +286,8 @@ class ExecutionEngine(abc.ABC):
           a rebuilt copy of this engine; the batch is sharded so schedules
           sharing a simulated prefix stay on one worker, and worker cache
           entries are merged back on return (:mod:`repro.engine.parallel`).
-          An engine that cannot cross the process boundary runs it serially.
+          Only the noisy density-matrix engine crosses the process
+          boundary; the others run the batch serially.
 
         ``max_workers`` bounds the pool size (default: one per core).
         ``parallelism=None`` runs serially; ``max_workers > 1`` without
@@ -490,90 +493,20 @@ class ExecutionEngine(abc.ABC):
 
         ``None`` (the default) marks the engine as unable to cross the
         process boundary; batch calls requesting ``parallelism="process"``
-        then run serially.
+        then run serially.  An engine returning a spec must also implement
+        the worker hooks :func:`~repro.engine.parallel.process_map` calls;
+        :class:`~repro.engine.density_engine.NoisyDensityMatrixEngine` is the
+        one that does.
         """
         return None
 
     def _shard_chain(self, kind: str, item) -> Sequence[str]:
-        """The item's hash chain, used to group prefix-sharing items into the
-        same shard.  The last entry must be a full content fingerprint (it
-        also keys payload deduplication).  The default yields no grouping."""
+        """The item's hash chain.  The batch scheduler derives its conflict
+        keys from it, the service its store keys, and the process tier
+        groups prefix-sharing items into one shard by it.  The last entry
+        must be a full content fingerprint (it also keys payload
+        deduplication).  The default yields no grouping."""
         return (repr(id(item)),)
-
-    def _worker_execute(self, kind: str, item, kwargs: Dict[str, Any]) -> Tuple[Any, List[CacheRecord]]:
-        """Execute one item worker-side, returning the result plus the cache
-        records the parent should absorb.  The default exports nothing."""
-        return self._serial_call(kind, item, kwargs), []
-
-    def _is_locally_cached(self, kind: str, item, kwargs: Dict[str, Any], chain: Sequence[str]) -> bool:
-        """Whether the parent can serve this item from its own caches without
-        shipping it to a worker."""
-        return False
-
-    def _worker_duplicate(self, kind: str, value):
-        """Worker-side result for a content-identical repeat within a shard.
-
-        Mirrors the serial path's second execution — a cache hit returning a
-        result flagged ``from_cache`` — without re-running or re-shipping the
-        heavy state (the shared arrays pickle once per shard).  Per the
-        :class:`EngineResult` contract the state of a ``from_cache`` result
-        is read-only, so the sharing is not observable.
-        """
-        if kind == "run":
-            self.stats.executions += 1
-            self.stats.cache_hits += 1
-            from dataclasses import replace
-
-            return replace(value, from_cache=True)
-        return value
-
-    def _absorb_records(self, records: Sequence[CacheRecord]) -> None:
-        """Merge worker cache records into the parent's caches (no-op by
-        default; engines with caches override)."""
-
-    def _stats_registry(self) -> Dict[str, EngineStats]:
-        """The named stats objects workers diff and the parent re-merges."""
-        return {"self": self.stats}
-
-    def _absorb_stats(self, delta: Dict[str, Dict[str, int]]) -> None:
-        """Fold a worker's stats delta into the parent's counters.
-
-        Counter folding is plain ``+=`` on the stats dataclasses, so with the
-        slot scheduler — where several process-tier batches can complete
-        concurrently — the merge is serialized under ``_stats_lock``.
-        """
-        registry = self._stats_registry()
-        with self._stats_lock:
-            for name, counters in delta.items():
-                stats = registry.get(name)
-                if stats is not None:
-                    stats.add_counters(counters)
-
-    def _acquire_process_pool(self, spec: EngineWorkerSpec, workers: int):
-        """A worker-pool executor for ``spec`` plus its release key.
-
-        Pools are persistent and shared by concurrent batches through the
-        engine's :class:`~repro.engine.parallel.ProcessPoolRegistry`: a
-        changed execution context (e.g. a toggled noise-model flag) retires
-        stale pools — immediately when idle, on last release while batches
-        still run on them — and a concurrent batch never retires workers
-        another batch is using.  Callers must pass the returned key to
-        :meth:`_release_process_pool` when their batch completes.
-        """
-        return self._pools.acquire(spec, workers)
-
-    def _release_process_pool(self, key) -> None:
-        self._pools.release(key)
-
-    def _retire_process_pool(self, key) -> None:
-        """Evict a broken pool (dead worker processes) from the registry.
-
-        The failing batch still releases its reference afterwards; the point
-        is that no *later* batch can acquire the dead executor — it builds a
-        fresh pool instead, so a single worker crash stays a single batch's
-        typed failure rather than poisoning the engine permanently.
-        """
-        self._pools.retire(key)
 
     def close(self) -> None:
         """Release pooled resources (drains the batch scheduler, joins any

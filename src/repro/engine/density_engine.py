@@ -25,8 +25,8 @@ instruction sequence the checkpoint's producer ran — bit-identical, never
 merely close.
 
 Both layers are thread-safe, so caller threads and overlapping scheduler
-slots may share one engine without changing any result.  The engine also
-implements the process-tier worker protocol (:mod:`repro.engine.parallel`):
+slots may share one engine without changing any result.  The engine is also
+the one client of the process tier (:mod:`repro.engine.parallel`):
 batches submitted with ``parallelism="process"`` are sharded along schedule
 hash chains so prefix reuse survives the process boundary, and the workers'
 final states and expectation values are merged back into this engine's
@@ -39,6 +39,7 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -902,6 +903,20 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             if data is not None:
                 records.append(CacheRecord("expectation", key, data))
         return result, records
+
+    def _worker_duplicate(self, result: EngineResult) -> EngineResult:
+        """Worker-side result for a content-identical repeated ``run`` item
+        within a shard.
+
+        Mirrors the serial path's second execution — a cache hit returning a
+        result flagged ``from_cache`` — without re-running or re-shipping the
+        heavy state (the shared arrays pickle once per shard).  Per the
+        :class:`EngineResult` contract the state of a ``from_cache`` result
+        is read-only, so the sharing is not observable.
+        """
+        self.stats.executions += 1
+        self.stats.cache_hits += 1
+        return replace(result, from_cache=True)
 
     def _is_locally_cached(self, kind: str, item, kwargs, chain) -> bool:
         fingerprint = chain[-1]

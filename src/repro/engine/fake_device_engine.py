@@ -14,8 +14,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional, Sequence, Union
 
-import numpy as np
-
 from ..backends.device import DeviceModel
 from ..backends.fake import get_device
 from ..circuits.circuit import QuantumCircuit
@@ -33,7 +31,11 @@ _DEFAULT_SHOTS = object()
 
 
 class FakeDeviceEngine(ExecutionEngine):
-    """Noisy execution of logical circuits on a fake IBM-style device."""
+    """Noisy execution of logical circuits on a fake IBM-style device.
+
+    The engine does not cross the process boundary: a batch requesting
+    ``parallelism="process"`` runs serially, with the same values.
+    """
 
     name = "fake_device"
 
@@ -211,8 +213,6 @@ class FakeDeviceEngine(ExecutionEngine):
         )
 
     # ------------------------------------------------------------------
-    # Process-tier worker protocol (see repro.engine.parallel)
-    # ------------------------------------------------------------------
     def _serial_call(self, kind: str, item, kwargs):
         if kind == "run":
             return self.run(item)
@@ -223,109 +223,8 @@ class FakeDeviceEngine(ExecutionEngine):
             )
         return super()._serial_call(kind, item, kwargs)
 
-    def _process_spec(self):
-        from .parallel import EngineWorkerSpec
-
-        context = (
-            self.seed,
-            self.shots,
-            tuple(self.physical_qubits or ()),
-            self.scheduling_policy,
-        )
-        return EngineWorkerSpec(
-            engine_class=type(self),
-            kwargs={
-                "device": self.device,
-                "noise_model": self.noise_model,
-                "seed": self.seed,
-                "shots": self.shots,
-                "physical_qubits": self.physical_qubits,
-                "scheduling_policy": self.scheduling_policy,
-                "transpile_cache_entries": self.transpile_cache_entries,
-                "kernel": self.kernel,
-            },
-            cache_key=f"{self.name}:{self._noisy._noise_key()}:{context!r}",
-        )
-
     def _shard_chain(self, kind: str, circuit: QuantumCircuit):
         return circuit_hash_chain(circuit)
-
-    def _schedule_fingerprint_of(self, compiled: TranspileResult) -> str:
-        return self._noisy._chain(compiled.scheduled)[1][-1]
-
-    def _worker_execute(self, kind: str, item, kwargs):
-        from .parallel import CacheRecord
-
-        result = self._serial_call(kind, item, kwargs)
-        records = []
-        transpile_key = self._transpile_key(item)
-        with self._lock:
-            compiled = self._transpiled.get(transpile_key)
-        if compiled is None:  # pragma: no cover - transpile always caches
-            return result, records
-        records.append(CacheRecord("transpile", transpile_key, compiled))
-        schedule_fp = self._schedule_fingerprint_of(compiled)
-        with self._noisy._lock:
-            state = self._noisy._results.get(schedule_fp)
-        if state is not None:
-            records.append(CacheRecord("result", schedule_fp, state, int(state.data.nbytes)))
-        if kind == "expectation" and self._noisy._expectation_cacheable(
-            kwargs["shots"], kwargs.get("seed")
-        ):
-            key = self._noisy._expectation_key(
-                schedule_fp, kwargs["observable"], kwargs["shots"],
-                kwargs.get("mitigator"), kwargs.get("seed"),
-            )
-            with self._noisy._lock:
-                data = self._noisy._expectations.get(key)
-            if data is not None:
-                records.append(CacheRecord("expectation", key, data))
-        return result, records
-
-    def _is_locally_cached(self, kind: str, item, kwargs, chain) -> bool:
-        with self._lock:
-            compiled = self._transpiled.get(self._transpile_key(item))
-        if compiled is None:
-            return False
-        schedule_fp = self._schedule_fingerprint_of(compiled)
-        with self._noisy._lock:
-            if kind == "run":
-                return schedule_fp in self._noisy._results
-            if kind == "expectation":
-                if not self._noisy._expectation_cacheable(kwargs["shots"], kwargs.get("seed")):
-                    return False
-                key = self._noisy._expectation_key(
-                    schedule_fp, kwargs["observable"], kwargs["shots"],
-                    kwargs.get("mitigator"), kwargs.get("seed"),
-                )
-                return self._noisy._expectations.get(key) is not None
-        return False
-
-    def _absorb_records(self, records) -> None:
-        inner = []
-        with self._lock:
-            for record in records:
-                if record.kind == "transpile":
-                    self._transpiled.put(record.key, record.value)
-                else:
-                    inner.append(record)
-        if inner:
-            self._noisy._absorb_records(inner)
-
-    def _stats_registry(self):
-        return {"self": self.stats, "noisy": self._noisy.stats}
-
-    def _worker_duplicate(self, kind: str, value):
-        if kind == "run":
-            # The serial path's repeat hits the transpile cache and the inner
-            # result cache; mirror those counters, not the base engine's.
-            self.stats.transpile_cache_hits += 1
-            self._noisy.stats.executions += 1
-            self._noisy.stats.cache_hits += 1
-            from dataclasses import replace
-
-            return replace(value, from_cache=True)
-        return value
 
     # ------------------------------------------------------------------
     @property

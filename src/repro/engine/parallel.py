@@ -7,10 +7,18 @@ scales a batch across worker *processes* while preserving every engine
 guarantee (order stability, the content-derived seeding contract,
 bit-identical ``shots=None`` values).
 
+The tier has one client,
+:class:`~repro.engine.density_engine.NoisyDensityMatrixEngine`: it is the
+only engine whose ``_process_spec`` returns a spec, so it is the only one
+:func:`process_map` ever sees, and it implements the worker hooks called
+here (``_begin_shard``, ``_worker_execute``, ``_worker_duplicate``,
+``_is_locally_cached``, ``_shard_segment_keys``, ``_absorb_records``).  Every
+other engine runs a ``parallelism="process"`` request serially.
+
 The design has three parts (see ``docs/architecture.md`` for the full
 picture):
 
-**Picklable worker protocol.**  An engine describes how to rebuild itself in
+**Picklable worker protocol.**  The engine describes how to rebuild itself in
 a worker process as an :class:`EngineWorkerSpec` — the engine class plus its
 (picklable) constructor arguments, tagged with a stable ``cache_key``.  Each
 worker process builds its engine once, in the pool initializer, and keeps it
@@ -18,10 +26,11 @@ alive across shards, so worker-side result caches stay warm for the whole
 sweep.  Reuse caches (prefix snapshots, segment records) are reset at shard
 start via the engine's ``_begin_shard`` hook: shard-to-worker placement is
 not deterministic, and carrying reuse state across shards would make the
-stats counters depend on which worker happened to run a sibling shard.  Work ships as :class:`ShardTask` objects carrying the
-serialized schedule content (deduplicated per content fingerprint) and comes
-back as a :class:`ShardOutcome`: the per-item results, the worker's new cache
-entries (:class:`CacheRecord`) and its stats counters delta.
+stats counters depend on which worker happened to run a sibling shard.  Work
+ships as :class:`ShardTask` objects carrying the serialized schedule content
+(deduplicated per content fingerprint) and comes back as a
+:class:`ShardOutcome`: the per-item results, the worker's new cache entries
+(:class:`CacheRecord`) and its stats counters delta.
 
 **Prefix-aware shard scheduler.**  :func:`plan_shards` groups batch items so
 checkpoint reuse survives the process boundary: items are ordered by their
@@ -33,14 +42,10 @@ beyond its predecessor's shared prefix.  Duplicates have zero marginal cost
 and always land in the shard that already simulates their content.
 
 **Cache merge-on-return.**  Workers export each cache entry they produce at
-most once (final states, expectation values, transpilations); the parent
-merges the records into its own content-hash caches and folds the stats
-deltas into its counters, so a process-parallel sweep leaves the parent
-engine exactly as warm as a serial one.
-
-Nothing here is engine-specific: the engines plug in through small hooks
-(``_process_spec``, ``_shard_chain``, ``_worker_execute``,
-``_absorb_records``) defined on :class:`~repro.engine.base.ExecutionEngine`.
+most once (final states, expectation values); the parent merges the records
+into its own content-hash caches and folds the stats deltas into its
+counters, so a process-parallel sweep leaves the parent engine exactly as
+warm as a serial one.
 """
 
 from __future__ import annotations
@@ -241,9 +246,10 @@ class EngineWorkerSpec:
 class CacheRecord:
     """One worker-produced cache entry, merged into the parent on return.
 
-    ``kind`` selects the destination cache (engine-specific: final states,
-    expectation values, transpilations); ``key`` is the content-hash cache
-    key and ``nbytes`` the byte footprint for budget-evicting stores.
+    ``kind`` selects the destination cache: ``NoisyDensityMatrixEngine``
+    emits ``"result"`` (final states) and ``"expectation"`` records; ``key``
+    is the content-hash cache key and ``nbytes`` the byte footprint for
+    budget-evicting stores.
     """
 
     kind: str
@@ -278,7 +284,8 @@ class ShardOutcome:
 
     results: List[Tuple[int, Any]]
     records: List[CacheRecord] = field(default_factory=list)
-    stats_delta: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: ``{counter: delta}`` over the worker engine's :class:`EngineStats`.
+    stats_delta: Dict[str, int] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------------
@@ -298,28 +305,6 @@ def _initialise_worker(spec: EngineWorkerSpec) -> None:
     _WORKER_EXPORTED = set()
 
 
-def _stats_snapshot(engine) -> Dict[str, Dict[str, int]]:
-    """Raw counter values of every stats object the engine registers."""
-    return {
-        name: dataclasses.asdict(stats) for name, stats in engine._stats_registry().items()
-    }
-
-
-def _stats_delta(
-    after: Dict[str, Dict[str, int]], before: Dict[str, Dict[str, int]]
-) -> Dict[str, Dict[str, int]]:
-    delta: Dict[str, Dict[str, int]] = {}
-    for name, counters in after.items():
-        base = before.get(name, {})
-        changed = {
-            key: value - base.get(key, 0) for key, value in counters.items()
-            if value != base.get(key, 0)
-        }
-        if changed:
-            delta[name] = changed
-    return delta
-
-
 def _execute_shard(task: ShardTask) -> ShardOutcome:
     """Run one shard on the process-local engine (the pool's task function)."""
     engine = _WORKER_ENGINE
@@ -329,10 +314,8 @@ def _execute_shard(task: ShardTask) -> ShardOutcome:
     # shard's counter delta depends only on shard content, never on which
     # pooled worker process happened to run earlier shards.  Without this the
     # reuse counters would vary with shard->worker placement.
-    begin_shard = getattr(engine, "_begin_shard", None)
-    if begin_shard is not None:
-        begin_shard()
-    before = _stats_snapshot(engine)
+    engine._begin_shard()
+    before = dataclasses.asdict(engine.stats)
     results: List[Tuple[int, Any]] = []
     records: List[CacheRecord] = []
     # Content-identical "run" items within a shard reuse the first result
@@ -342,7 +325,7 @@ def _execute_shard(task: ShardTask) -> ShardOutcome:
     run_memo: Dict[int, Any] = {}
     for index, slot in task.items:
         if task.kind == "run" and slot in run_memo:
-            results.append((index, engine._worker_duplicate(task.kind, run_memo[slot])))
+            results.append((index, engine._worker_duplicate(run_memo[slot])))
             continue
         value, produced = engine._worker_execute(task.kind, task.payloads[slot], task.kwargs)
         if task.kind == "run":
@@ -357,7 +340,11 @@ def _execute_shard(task: ShardTask) -> ShardOutcome:
     return ShardOutcome(
         results=results,
         records=records,
-        stats_delta=_stats_delta(_stats_snapshot(engine), before),
+        stats_delta={
+            key: value - before[key]
+            for key, value in dataclasses.asdict(engine.stats).items()
+            if value != before[key]
+        },
     )
 
 
@@ -576,19 +563,16 @@ def process_map(
     if not pending:
         return results
 
-    # Segment-aware shard costing, when the engine exposes segment keys
-    # (``None`` — no hook, the dense kernel, or segment reuse disabled —
-    # falls back to chains).
-    keys_of = getattr(engine, "_shard_segment_keys", None)
-    segment_keys = None
-    if keys_of is not None:
-        segment_keys = [keys_of(kind, items[index]) for index in pending]
-        if any(keys is None for keys in segment_keys):
-            segment_keys = None
+    # Segment-aware shard costing when the engine computes segment keys
+    # (``None`` — the dense kernel, or segment reuse disabled — falls back
+    # to chains).
+    segment_keys = [engine._shard_segment_keys(kind, items[index]) for index in pending]
+    if any(keys is None for keys in segment_keys):
+        segment_keys = None
     shards = plan_shards(
         [chains[i] for i in pending], plan.workers, segment_keys=segment_keys
     )
-    pool, pool_key = engine._acquire_process_pool(spec, plan.workers)
+    pool, pool_key = engine._pools.acquire(spec, plan.workers)
     try:
         futures = []
         for shard in shards:
@@ -610,7 +594,10 @@ def process_map(
         for future in futures:
             outcome = future.result()
             engine._absorb_records(outcome.records)
-            engine._absorb_stats(outcome.stats_delta)
+            # Several process-tier batches can complete concurrently under
+            # the slot scheduler, and counter folding is plain ``+=``.
+            with engine._stats_lock:
+                engine.stats.add_counters(outcome.stats_delta)
             for index, value in outcome.results:
                 results[index] = value
     except BrokenExecutor:
@@ -619,8 +606,8 @@ def process_map(
         # pool to every later batch with this configuration.  Retire it so
         # the next batch initialises fresh workers, then let the error reach
         # the caller as this batch's (typed) failure.
-        engine._retire_process_pool(pool_key)
+        engine._pools.retire(pool_key)
         raise
     finally:
-        engine._release_process_pool(pool_key)
+        engine._pools.release(pool_key)
     return results

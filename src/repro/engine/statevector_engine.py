@@ -10,7 +10,7 @@ expectation values are additionally memoised per observable.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,13 +29,12 @@ from .fingerprint import circuit_fingerprint, circuit_hash_chain, observable_fin
 class StatevectorEngine(ExecutionEngine):
     """Cached, noise-free execution of logical circuits.
 
-    Implements the process-tier worker protocol: logical circuits ship to
-    worker processes whole (they pickle in a few hundred bytes), evolved
-    statevectors and memoised expectation values are merged back into the
-    parent's caches on return.  The asynchronous ``submit`` /
-    ``submit_batch`` / ``submit_expectation_batch`` API is inherited
-    unchanged from :class:`~repro.engine.base.ExecutionEngine` — exact
-    expectations need no per-call kwargs beyond the observable.
+    The engine does not cross the process boundary: a batch requesting
+    ``parallelism="process"`` runs serially, with the same values.  The
+    asynchronous ``submit`` / ``submit_batch`` / ``submit_expectation_batch``
+    API is inherited unchanged from
+    :class:`~repro.engine.base.ExecutionEngine` — exact expectations need no
+    per-call kwargs beyond the observable.
     """
 
     name = "statevector"
@@ -106,14 +105,17 @@ class StatevectorEngine(ExecutionEngine):
     def probabilities(self, circuit: QuantumCircuit) -> np.ndarray:
         """Exact computational-basis distribution of the full register
         (measurement instructions are irrelevant here; compare
-        ``result.probabilities``, which marginalises onto classical bits)."""
+        ``result.probabilities``, which marginalises onto classical bits).
+        Documented in ``docs/api.md``."""
         state, _, _ = self._state_for(self._resolve_program(circuit))
         return np.abs(state) ** 2
 
     def counts(
         self, circuit: QuantumCircuit, shots: int = 4096, seed: Optional[int] = None
     ) -> Dict[str, int]:
-        """Sampled counts under the engine seeding contract."""
+        """Sampled counts under the engine seeding contract (documented in
+        ``docs/api.md``; the frontend fuzz suite checks ingested programs'
+        sampled bits through it)."""
         circuit = self._resolve_program(circuit)
         fingerprint = circuit_fingerprint(circuit)
         rng = self._sampling_rng(seed, "counts", fingerprint, str(shots))
@@ -153,67 +155,8 @@ class StatevectorEngine(ExecutionEngine):
         return value
 
     # ------------------------------------------------------------------
-    # Process-tier worker protocol (see repro.engine.parallel)
-    # ------------------------------------------------------------------
-    def _process_spec(self):
-        from .parallel import EngineWorkerSpec
-
-        return EngineWorkerSpec(
-            engine_class=type(self),
-            kwargs={
-                "seed": self.seed,
-                "state_cache_entries": self.state_cache_entries,
-                "expectation_cache_entries": self.expectation_cache_entries,
-            },
-            cache_key=f"{self.name}:{self.seed}",
-        )
-
     def _shard_chain(self, kind: str, circuit: QuantumCircuit) -> List[str]:
         return circuit_hash_chain(circuit)
-
-    def _worker_execute(self, kind: str, item, kwargs):
-        from .parallel import CacheRecord
-
-        result = self._serial_call(kind, item, kwargs)
-        records = []
-        if kind == "run":
-            fingerprint = circuit_fingerprint(item)
-            with self._lock:
-                state = self._states.get(fingerprint)
-            if state is not None:
-                records.append(CacheRecord("state", fingerprint, state, int(state.nbytes)))
-        elif kind == "expectation":
-            bare = item.remove_final_measurements()
-            bare_fingerprint = circuit_fingerprint(bare)
-            key = (bare_fingerprint, observable_fingerprint(kwargs["observable"]))
-            with self._lock:
-                state = self._states.get(bare_fingerprint)
-                value = self._expectations.get(key)
-            if state is not None:
-                records.append(CacheRecord("state", bare_fingerprint, state, int(state.nbytes)))
-            if value is not None:
-                records.append(CacheRecord("expectation", key, value))
-        return result, records
-
-    def _is_locally_cached(self, kind: str, item, kwargs, chain) -> bool:
-        with self._lock:
-            if kind == "run":
-                return self._states.get(circuit_fingerprint(item)) is not None
-            if kind == "expectation":
-                bare = item.remove_final_measurements()
-                key = (circuit_fingerprint(bare), observable_fingerprint(kwargs["observable"]))
-                return self._expectations.get(key) is not None
-        return False
-
-    def _absorb_records(self, records) -> None:
-        with self._lock:
-            for record in records:
-                if record.kind == "state":
-                    state = np.asarray(record.value)
-                    state.flags.writeable = False
-                    self._states.put(record.key, state)
-                elif record.kind == "expectation":
-                    self._expectations.put(record.key, record.value)
 
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:

@@ -1,19 +1,9 @@
 """Fidelity and aggregation metrics."""
 
-from .fidelity import (
-    counts_overlap_fidelity,
-    geometric_mean,
-    hellinger_distance,
-    hellinger_fidelity,
-    state_fidelity,
-    total_variation_distance,
-)
+from .fidelity import geometric_mean, hellinger_distance, hellinger_fidelity
 
 __all__ = [
     "hellinger_distance",
     "hellinger_fidelity",
-    "total_variation_distance",
-    "state_fidelity",
-    "counts_overlap_fidelity",
     "geometric_mean",
 ]

@@ -1,4 +1,4 @@
-"""Distribution and state fidelity metrics.
+"""Distribution fidelity and aggregation metrics.
 
 The paper's micro-benchmarks (Figs. 5, 6, 9) report the *Hellinger fidelity*
 between the measured outcome distribution and the ideal one; the VQE
@@ -52,37 +52,6 @@ def hellinger_fidelity(dist_a: Distribution, dist_b: Distribution) -> float:
     """Hellinger fidelity ``(1 - H^2)^2`` — the metric used in the paper's Fig. 6."""
     h_squared = hellinger_distance(dist_a, dist_b) ** 2
     return (1.0 - h_squared) ** 2
-
-
-def total_variation_distance(dist_a: Distribution, dist_b: Distribution) -> float:
-    """Total variation distance ``0.5 * sum_i |p_i - q_i|``."""
-    a = _as_probability_dict(dist_a)
-    b = _as_probability_dict(dist_b)
-    keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
-def state_fidelity(rho: np.ndarray, sigma_or_state: np.ndarray) -> float:
-    """Fidelity between a density matrix and a pure state or density matrix.
-
-    For a pure reference ``|psi>`` this is ``<psi|rho|psi>``; for two density
-    matrices the Uhlmann fidelity ``(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    other = np.asarray(sigma_or_state, dtype=complex)
-    if other.ndim == 1 or (other.ndim == 2 and 1 in other.shape):
-        vec = other.reshape(-1)
-        return float(np.real(vec.conj() @ rho @ vec))
-    from scipy.linalg import sqrtm
-
-    sqrt_rho = sqrtm(rho)
-    inner = sqrtm(sqrt_rho @ other @ sqrt_rho)
-    return float(np.real(np.trace(inner)) ** 2)
-
-
-def counts_overlap_fidelity(counts: Mapping[str, int], ideal_probs: Distribution) -> float:
-    """Convenience wrapper: Hellinger fidelity of counts vs an ideal distribution."""
-    return hellinger_fidelity(counts, ideal_probs)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

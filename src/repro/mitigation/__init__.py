@@ -1,4 +1,4 @@
-"""Error-mitigation techniques: DD insertion, gate scheduling, MEM and ZNE."""
+"""Error-mitigation techniques: DD insertion, gate scheduling and MEM."""
 
 from .dd import (
     DD_SEQUENCES,
@@ -17,12 +17,6 @@ from .gate_scheduling import (
     tunable_windows,
 )
 from .mem import MeasurementMitigator
-from .zne import (
-    fold_circuit_global,
-    linear_extrapolate,
-    richardson_extrapolate,
-    zne_expectation,
-)
 
 __all__ = [
     "DD_SEQUENCES",
@@ -38,8 +32,4 @@ __all__ = [
     "tunable_windows",
     "position_sweep_values",
     "MeasurementMitigator",
-    "fold_circuit_global",
-    "richardson_extrapolate",
-    "linear_extrapolate",
-    "zne_expectation",
 ]

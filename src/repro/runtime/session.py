@@ -32,7 +32,6 @@ class RuntimeConstraints:
     max_session_hours: float = 5.0
     allowed_optimizers: Sequence[str] = ("spsa",)
     tunable_parameters: str = "gate_angles_only"
-    max_circuits_per_job: int = 300
 
     def check_optimizer(self, optimizer: Optimizer) -> None:
         if optimizer.name not in self.allowed_optimizers:
@@ -69,12 +68,10 @@ class CircuitTimingModel:
 class RuntimeSession:
     """Wraps an objective with Runtime's time cap and optimizer restrictions.
 
-    A session can also hold an :class:`~repro.engine.base.ExecutionEngine`;
-    :meth:`submit` then plays the role of Runtime's job submission — circuits
-    are executed in jobs of at most ``max_circuits_per_job``, each job is
-    charged its per-job overhead plus the modelled quantum time, and the
-    engine's caching/batching applies exactly as it would on the objective
-    path.
+    Each :meth:`evaluate` call is charged the modelled time of one objective
+    evaluation on the machine; the objective itself decides where the
+    circuits run (``VAQEMPipeline`` and ``examples/h2_chemistry_runtime.py``
+    pass a noisy VQE objective).
     """
 
     def __init__(
@@ -83,17 +80,13 @@ class RuntimeSession:
         timing: Optional[CircuitTimingModel] = None,
         constraints: Optional[RuntimeConstraints] = None,
         machine_name: str = "fake_montreal",
-        engine=None,
     ):
         self.objective = objective
         self.timing = timing or CircuitTimingModel()
         self.constraints = constraints or RuntimeConstraints()
         self.machine_name = machine_name
-        self.engine = engine
         self.elapsed_seconds = 0.0
         self.num_evaluations = 0
-        self.num_jobs = 0
-        self.num_circuits = 0
         self.history: List[float] = []
 
     # ------------------------------------------------------------------
@@ -121,70 +114,6 @@ class RuntimeSession:
         value = float(self.objective(np.asarray(parameters, dtype=float)))
         self.history.append(value)
         return value
-
-    # ------------------------------------------------------------------
-    # Engine-backed job submission
-    # ------------------------------------------------------------------
-    def _charge_job(self, num_circuits: int) -> None:
-        self.elapsed_seconds += self.timing.seconds_for_circuits(num_circuits)
-        self.num_jobs += 1
-        self.num_circuits += num_circuits
-        if self.elapsed_hours > self.constraints.max_session_hours:
-            raise RuntimeSessionError(
-                f"Runtime session exceeded its {self.constraints.max_session_hours:.1f} h cap "
-                f"after {self.num_jobs} jobs ({self.num_circuits} circuits)"
-            )
-
-    def submit(
-        self,
-        circuits: Sequence,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
-    ) -> List:
-        """Execute ``circuits`` through the session's engine, in charged jobs.
-
-        The batch is split into jobs of at most
-        ``constraints.max_circuits_per_job`` circuits (Runtime's 07/2021 job
-        limit); each job charges its own overhead and is queued on the
-        engine's batch scheduler as soon as it is charged — so later jobs are
-        accounted (and the 5-hour cap enforced) while earlier ones still
-        execute, like a real session's job queue.  The session submits under
-        its own identity, so several sessions sharing one engine are
-        scheduled fairly and their independent jobs overlap up to the
-        engine's per-tier slots (``docs/scheduler.md``).  Results come back
-        in submission order, one :class:`~repro.engine.base.EngineResult` per
-        circuit, following the engine's seeding contract.  ``parallelism``
-        selects the engine tier each job fans out on (``max_workers`` alone
-        selects none; pass the tier explicitly).
-        """
-        if self.engine is None:
-            raise RuntimeSessionError("this session was opened without an execution engine")
-        circuits = list(circuits)
-        futures: List = []
-        job_size = max(1, int(self.constraints.max_circuits_per_job))
-        try:
-            for start in range(0, len(circuits), job_size):
-                job = circuits[start : start + job_size]
-                self._charge_job(len(job))
-                futures.extend(
-                    self.engine.submit_batch(
-                        job, max_workers=max_workers, parallelism=parallelism, submitter=self
-                    )
-                )
-        except Exception:
-            # A mid-loop failure (typically the 5-hour cap) must not leave
-            # already-queued jobs running unobserved: cancel what has not
-            # started and drain the rest before re-raising.
-            for future in futures:
-                future.cancel()
-            for future in futures:
-                if not future.cancelled():
-                    try:
-                        future.result()
-                    except Exception:  # noqa: BLE001 - the cap error wins
-                        pass
-            raise
-        return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     def run_program(self, optimizer: Optimizer, initial_point: Sequence[float]) -> OptimizationResult:

@@ -12,7 +12,7 @@ basis index.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,7 +89,10 @@ class DensityMatrix:
         self.data = columns.apply(matrix.conj(), rows.apply(matrix, self.data))
 
     def apply_kraus(self, kraus: Iterable[np.ndarray], qubits: Sequence[int]) -> None:
-        """Apply a Kraus channel acting on ``qubits``."""
+        """Apply a Kraus channel acting on ``qubits``.
+
+        The simulators apply superoperators; tests check channels and
+        :meth:`apply_superop` against this Kraus form."""
         rows = self._plan(qubits, (0,))
         columns = self._plan(qubits, (self.num_qubits,))
         new = np.zeros_like(self.data)
@@ -139,24 +142,6 @@ class DensityMatrix:
             out[key] += p
         return out
 
-    def sample_counts(
-        self,
-        shots: int,
-        qubits: Optional[Sequence[int]] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Dict[str, int]:
-        """Sample ``shots`` measurement outcomes on ``qubits`` (all by default)."""
-        rng = rng or np.random.default_rng()
-        qubits = list(qubits) if qubits is not None else list(range(self.num_qubits))
-        probs = self.marginal_probabilities(qubits)
-        outcomes = rng.multinomial(shots, probs)
-        counts: Dict[str, int] = {}
-        width = len(qubits)
-        for index, count in enumerate(outcomes):
-            if count:
-                counts[format(index, f"0{width}b")] = int(count)
-        return counts
-
     def expectation(self, observable_matrix: np.ndarray) -> float:
         """``Tr[O rho]`` for a Hermitian operator ``O`` on the full register."""
         observable_matrix = np.asarray(observable_matrix, dtype=complex)
@@ -165,7 +150,8 @@ class DensityMatrix:
         return float(np.real(np.trace(observable_matrix @ self.data)))
 
     def fidelity_with_pure_state(self, statevector: np.ndarray) -> float:
-        """``<psi| rho |psi>`` against a pure reference state."""
+        """``<psi| rho |psi>`` against a pure reference state (a reference
+        measure for tests)."""
         vec = np.asarray(statevector, dtype=complex).reshape(-1)
         if vec.size != self.data.shape[0]:
             raise SimulationError("reference state dimension mismatch")

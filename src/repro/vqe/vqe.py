@@ -199,20 +199,6 @@ class VQE:
         result = self.optimizer.minimize(self.ideal_objective, point)
         return self._to_vqe_result(result, "ideal")
 
-    def run_noisy(
-        self,
-        device: DeviceModel,
-        noise_model: Optional[NoiseModel] = None,
-        shots: Optional[int] = None,
-        use_mem: bool = False,
-        initial_point: Optional[Sequence[float]] = None,
-    ) -> VQEResult:
-        """Tune angles directly against the noisy machine model."""
-        objective = self.noisy_objective_factory(device, noise_model, shots, use_mem)
-        point = np.asarray(initial_point, dtype=float) if initial_point is not None else self.initial_point()
-        result = self.optimizer.minimize(objective, point)
-        return self._to_vqe_result(result, "noisy")
-
     def evaluate_trajectory_ideal(
         self,
         parameter_history: Sequence[np.ndarray],
@@ -224,9 +210,11 @@ class VQE:
         The trajectory is submitted in chunks through the engine's
         asynchronous
         :meth:`~repro.engine.base.ExecutionEngine.submit_expectation_batch`,
-        so binding later points overlaps evolving earlier ones;
-        ``parallelism`` / ``max_workers`` select the engine's execution tier.
-        Values equal per-point :meth:`ideal_objective` calls bit for bit.
+        so binding later points overlaps evolving earlier ones.
+        ``max_workers`` sets the chunk size; the statevector engine runs a
+        ``parallelism="process"`` chunk serially, since it does not cross the
+        process boundary.  Values equal per-point :meth:`ideal_objective`
+        calls bit for bit.
         """
         futures: List = []
         chunk: List[QuantumCircuit] = []

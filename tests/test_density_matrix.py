@@ -113,18 +113,6 @@ class TestMeasurement:
         assert rho.marginal_probabilities([0]) == pytest.approx([1, 0])
         assert rho.marginal_probabilities([1, 0]) == pytest.approx([0, 0, 1, 0])
 
-    def test_sample_counts_total(self):
-        rho = DensityMatrix(1)
-        rho.apply_unitary(_H, (0,))
-        counts = rho.sample_counts(1000, rng=np.random.default_rng(0))
-        assert sum(counts.values()) == 1000
-        assert set(counts) <= {"0", "1"}
-
-    def test_sample_counts_deterministic_state(self):
-        rho = DensityMatrix(2)
-        counts = rho.sample_counts(100, rng=np.random.default_rng(0))
-        assert counts == {"00": 100}
-
     def test_expectation(self):
         rho = DensityMatrix(1)
         z = np.diag([1.0, -1.0]).astype(complex)

@@ -8,8 +8,8 @@ Covers the engine parity guarantees the architecture promises:
 * the seeding contract (content-derived sampling randomness),
 * the gate-matrix cache and the deterministic-counts satellite features,
 * the engine-backed frontends (estimator batch path, window tuner batch
-  sweeps, runtime-session job submission); the window tuner's pipelined
-  engine futures are checked in ``tests/test_futures.py``.
+  sweeps); the window tuner's pipelined engine futures are checked in
+  ``tests/test_futures.py``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from repro.engine import (
 from repro.exceptions import ParameterError
 from repro.mitigation import DDConfig, insert_dd_sequences
 from repro.mitigation.gate_scheduling import GSConfig, reschedule_gate
-from repro.runtime import RuntimeSession
-from repro.runtime.session import CircuitTimingModel
 from repro.simulators import NoisySimulator, StatevectorSimulator
 from repro.transpiler import transpile
 from repro.vaqem import IndependentWindowTuner, TuningBudget
@@ -333,29 +331,6 @@ class TestEstimatorAndTunerBatchPaths:
         assert batched.tuned_value == sequential.tuned_value
         assert batched.num_evaluations == sequential.num_evaluations
         assert batched.chosen_configurations() == sequential.chosen_configurations()
-
-
-class TestRuntimeSessionSubmission:
-    def test_submit_splits_jobs_and_charges_time(self, device, device_noise, scheduled_su2_4q):
-        engine = NoisyDensityMatrixEngine(device_noise, seed=0)
-        timing = CircuitTimingModel(shots=128, per_job_overhead_s=2.0)
-        session = RuntimeSession(engine=engine, timing=timing)
-        session.constraints.max_circuits_per_job = 2
-        schedules = [scheduled_su2_4q.scheduled] * 5
-        results = session.submit(schedules)
-        assert len(results) == 5
-        assert session.num_jobs == 3  # 2 + 2 + 1
-        assert session.num_circuits == 5
-        assert session.elapsed_seconds > 3 * timing.per_job_overhead_s
-        fingerprints = {r.fingerprint for r in results}
-        assert len(fingerprints) == 1  # identical circuits, cached execution
-
-    def test_submit_without_engine_raises(self):
-        from repro.exceptions import RuntimeSessionError
-
-        session = RuntimeSession(lambda p: 0.0)
-        with pytest.raises(RuntimeSessionError):
-            session.submit([])
 
 
 class TestSatellites:

@@ -496,15 +496,3 @@ class TestFrontendAsyncRouting:
             points, device, max_workers=2, parallelism="process"
         )
         assert noisy_default == noisy_chunked
-
-    def test_runtime_session_submit_charges_and_executes(self, device_noise, sweep_schedules):
-        from repro.runtime import RuntimeSession
-
-        _, schedules = sweep_schedules
-        engine = NoisyDensityMatrixEngine(device_noise, seed=1)
-        session = RuntimeSession(engine=engine, machine_name="test")
-        results = session.submit(schedules[:3])
-        assert len(results) == 3
-        assert session.num_circuits == 3
-        assert session.num_jobs >= 1
-        engine.close()

@@ -1,18 +1,11 @@
-"""Tests for measurement error mitigation and zero-noise extrapolation."""
+"""Tests for measurement error mitigation."""
 
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit, ghz_circuit
 from repro.exceptions import MitigationError
-from repro.mitigation import (
-    MeasurementMitigator,
-    fold_circuit_global,
-    linear_extrapolate,
-    richardson_extrapolate,
-    zne_expectation,
-)
-from repro.simulators import StatevectorSimulator, apply_readout_error
+from repro.mitigation import MeasurementMitigator
+from repro.simulators import apply_readout_error
 
 
 class TestMeasurementMitigator:
@@ -75,64 +68,3 @@ class TestMeasurementMitigator:
     def test_from_calibration_counts_wrong_arity(self):
         with pytest.raises(MitigationError):
             MeasurementMitigator.from_calibration_counts({"00": 10}, [{"10": 10}])
-
-
-class TestFolding:
-    def test_scale_one_is_identity(self, bell):
-        folded = fold_circuit_global(bell, 1.0)
-        assert len(folded) == len(bell)
-
-    def test_scale_three_triples_gate_count(self, bell):
-        folded = fold_circuit_global(bell, 3.0)
-        assert len(folded) == 3 * len(bell)
-
-    def test_folding_preserves_unitary(self, bound_su2_4q):
-        folded = fold_circuit_global(bound_su2_4q, 3.0)
-        assert np.allclose(folded.to_unitary(), bound_su2_4q.to_unitary(), atol=1e-8)
-
-    def test_partial_fold_preserves_unitary(self, bell):
-        folded = fold_circuit_global(bell, 2.0)
-        assert np.allclose(folded.to_unitary(), bell.to_unitary(), atol=1e-9)
-        assert len(folded) > len(bell)
-
-    def test_invalid_scale(self, bell):
-        with pytest.raises(MitigationError):
-            fold_circuit_global(bell, 0.5)
-
-    def test_measured_circuit_rejected(self):
-        circuit = QuantumCircuit(1)
-        circuit.measure(0, 0)
-        with pytest.raises(MitigationError):
-            fold_circuit_global(circuit, 3.0)
-
-
-class TestExtrapolation:
-    def test_linear_recovers_intercept(self):
-        scales = [1.0, 2.0, 3.0]
-        values = [0.9 - 0.1 * s for s in scales]
-        assert linear_extrapolate(scales, values) == pytest.approx(0.9)
-
-    def test_richardson_exact_on_quadratic(self):
-        scales = [1.0, 2.0, 3.0]
-        values = [1.0 - 0.2 * s + 0.05 * s ** 2 for s in scales]
-        assert richardson_extrapolate(scales, values) == pytest.approx(1.0)
-
-    def test_requires_two_points(self):
-        with pytest.raises(MitigationError):
-            linear_extrapolate([1.0], [0.5])
-        with pytest.raises(MitigationError):
-            richardson_extrapolate([1.0, 1.0], [0.5, 0.6])
-
-    def test_zne_expectation_with_synthetic_executor(self, bell):
-        """An executor whose error grows linearly with circuit length is fully corrected."""
-
-        def executor(circuit):
-            return 1.0 - 0.01 * len(circuit)
-
-        corrected, raw = zne_expectation(executor, bell, scale_factors=(1.0, 3.0, 5.0))
-        assert len(raw) == 3
-        assert corrected == pytest.approx(1.0, abs=1e-9)
-
-    def test_zne_unknown_method(self, bell):
-        with pytest.raises(MitigationError):
-            zne_expectation(lambda c: 0.0, bell, method="spline")

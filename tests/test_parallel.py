@@ -3,15 +3,16 @@
 Covers the guarantees the parallel subsystem promises:
 
 * serial / process parity — bit-identical results at ``shots=None`` and
-  seed-deterministic sampled values otherwise, on all three engines;
-* cache merge-on-return — a process batch leaves the parent engine's
+  seed-deterministic sampled values otherwise, on all three engines (the
+  statevector and fake-device engines answer a process request serially);
+* cache merge-on-return — a noisy-engine process batch leaves the parent's
   content-hash caches as warm as a serial one, and stats deltas fold back;
 * the prefix-aware shard scheduler — common-prefix grouping, duplicate
   co-location, cost balancing, degenerate sizes;
 * the ``(parallelism, max_workers)`` knob resolution: two tiers, and a
   ``max_workers``-only request selects none;
 * pool lifecycle — persistent pools, stale-context retirement, and the
-  serial answer of an engine that cannot cross the process boundary;
+  serial answer of the engines that do not cross the process boundary;
 * frontend routing — estimator batches and window-tuner sweeps produce
   identical outcomes on every tier.
 
@@ -268,9 +269,10 @@ class TestStatevectorEngineParity:
     def test_process_batch_populates_state_cache(self, logical_circuits):
         engine = StatevectorEngine(seed=5)
         engine.run_batch(logical_circuits, max_workers=WORKERS, parallelism="process")
+        # The engine runs a process request serially, so the batch fills its
+        # own state cache; the cached statevectors stay read-only.
         for circuit in logical_circuits:
             assert engine.run(circuit).from_cache
-        # Merged statevectors keep the engine's read-only contract.
         result = engine.run(logical_circuits[0])
         assert not result.state.flags.writeable
         engine.close()
@@ -314,7 +316,8 @@ class TestFakeDeviceEngineParity:
         engine.run_batch(measured, max_workers=WORKERS, parallelism="process")
         misses_before = engine.stats.transpile_cache_misses
         engine.run_batch(measured, parallelism="serial")
-        # The merged transpilations serve the serial re-run without recompiling.
+        # The engine runs a process request serially, so its own transpile
+        # cache serves the serial re-run without recompiling.
         assert engine.stats.transpile_cache_misses == misses_before
         engine.close()
 
@@ -361,33 +364,49 @@ class TestPoolLifecycle:
         engine.close()
 
     def test_engine_without_process_spec_runs_process_requests_serially(
-        self, logical_circuits, tfim4
+        self, device, logical_circuits, tfim4, monkeypatch
     ):
-        class InProcessEngine(StatevectorEngine):
-            def _process_spec(self):
-                return None
+        # Only NoisyDensityMatrixEngine crosses the process boundary: the
+        # statevector and fake-device engines answer a process request on one
+        # thread, with the serial values, and never start a pool.
+        measured = [c.copy() for c in logical_circuits]
+        for circuit in measured:
+            circuit.measure_all()
 
-            def _serial_call(self, kind, item, kwargs):
+        def check(engine, reference, circuits):
+            assert engine._process_spec() is None
+            callers = set()
+            serial_call = engine._serial_call
+
+            def recording_call(kind, item, kwargs):
                 callers.add(threading.get_ident())
-                return super()._serial_call(kind, item, kwargs)
+                return serial_call(kind, item, kwargs)
 
-        callers = set()
-        engine = InProcessEngine(seed=5)
-        values = engine.expectation_batch(
-            logical_circuits, tfim4, max_workers=WORKERS, parallelism="process"
+            monkeypatch.setattr(engine, "_serial_call", recording_call)
+            values = engine.expectation_batch(
+                circuits, tfim4, max_workers=WORKERS, parallelism="process"
+            )
+            assert values == reference.expectation_batch(circuits, tfim4)
+            assert callers == {threading.get_ident()}
+            assert engine._pools.handles() == []
+            # The scheduler accounts the batch on the process tier's slots and
+            # runs it serially on one of its own threads.
+            callers.clear()
+            futures = engine.submit_expectation_batch(
+                circuits, tfim4, max_workers=WORKERS, parallelism="process"
+            )
+            assert [future.result() for future in futures] == values
+            assert len(callers) == 1 and threading.get_ident() not in callers
+            assert engine._pools.handles() == []
+            engine.close()
+            reference.close()
+
+        check(StatevectorEngine(seed=5), StatevectorEngine(seed=5), logical_circuits)
+        check(
+            FakeDeviceEngine(device, seed=6, shots=300),
+            FakeDeviceEngine(device, seed=6, shots=300),
+            measured,
         )
-        assert values == StatevectorEngine(seed=5).expectation_batch(logical_circuits, tfim4)
-        assert callers == {threading.get_ident()}
-        # The scheduler accounts the batch on the process tier's slots and
-        # runs it serially on one of its own threads.
-        callers.clear()
-        futures = engine.submit_expectation_batch(
-            logical_circuits, tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        assert [future.result() for future in futures] == values
-        assert len(callers) == 1 and threading.get_ident() not in callers
-        assert engine._pools.handles() == []
-        engine.close()
 
 
 # ----------------------------------------------------------------------------

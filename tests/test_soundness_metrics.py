@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ReproError, VAQEMError
-from repro.metrics import (
-    geometric_mean,
-    hellinger_distance,
-    hellinger_fidelity,
-    state_fidelity,
-    total_variation_distance,
-)
+from repro.metrics import geometric_mean, hellinger_distance, hellinger_fidelity
 from repro.operators import tfim_hamiltonian
 from repro.simulators import DensityMatrix, depolarizing_kraus
 from repro.vaqem import (
@@ -105,19 +99,6 @@ class TestHellinger:
 
 
 class TestOtherMetrics:
-    def test_total_variation(self):
-        assert total_variation_distance({"0": 1.0}, {"1": 1.0}) == pytest.approx(1.0)
-        assert total_variation_distance({"0": 0.5, "1": 0.5}, {"0": 0.5, "1": 0.5}) == pytest.approx(0.0)
-
-    def test_state_fidelity_pure_reference(self):
-        rho = np.diag([0.75, 0.25])
-        assert state_fidelity(rho, np.array([1, 0])) == pytest.approx(0.75)
-
-    def test_state_fidelity_two_density_matrices(self):
-        rho = np.diag([1.0, 0.0])
-        sigma = np.diag([0.5, 0.5])
-        assert state_fidelity(rho, sigma) == pytest.approx(0.5, abs=1e-9)
-
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
         assert geometric_mean([2.19, 2.19]) == pytest.approx(2.19)
