@@ -9,9 +9,9 @@ Each benchmark's underlying sweep runs with deliberately small parameters
 under a minute.  The driver measures per-benchmark wall-clock, collects the
 execution engine's cache/prefix-reuse counters from every pipeline run,
 re-times the H2 window-tuner sweep through the sequential (no cache, no
-prefix reuse) path and the pipelined engine path on every execution tier,
-times two concurrent estimator frontends sharing one engine through the
-slot scheduler against a serial FIFO drain, and compares the dense and PTM
+prefix reuse) path and the pipelined engine path, times two concurrent
+estimator frontends sharing one engine against a blocking reference, and
+compares the dense and PTM
 simulation kernels on identical inputs (``docs/ptm.md``), so future perf PRs
 have a machine-readable trajectory (``BENCH_engine.json``) to compare against.
 ``docs/benchmarks.md`` explains every leg.
@@ -141,20 +141,14 @@ def stable_service_counters(result):
     return result
 
 
-#: Worker count for the process legs of the H2 comparison and the
-#: concurrent-frontends leg (on hosts with fewer cores the numbers are still
-#: recorded honestly, next to ``cpu_count``).
-_PARALLEL_WORKERS = 4
-
-
-def _engine_objective(estimator, hamiltonian, **tier):
+def _engine_objective(estimator, hamiltonian):
     """The window tuner's objective on ``estimator``'s engine: one future per
-    schedule, submitted through the slot scheduler on the given tier."""
+    schedule, submitted through the engine's scheduler."""
 
     def objective(schedules):
         return [
             future.map(lambda result: result.value)
-            for future in estimator.submit_batch(schedules, hamiltonian, **tier)
+            for future in estimator.submit_batch(schedules, hamiltonian)
         ]
 
     return objective
@@ -204,9 +198,7 @@ def _h2_tuner_comparison():
         )
         estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
         if batched:
-            objective = _engine_objective(
-                estimator, hamiltonian, max_workers=_PARALLEL_WORKERS, parallelism=leg
-            )
+            objective = _engine_objective(estimator, hamiltonian)
         else:
 
             def objective(schedules):
@@ -226,19 +218,13 @@ def _h2_tuner_comparison():
 
     sequential_s, sequential, _ = tune("sequential")
     serial_s, serial, engine = tune("serial")
-    process_s, process, _ = tune("process")
-    energies = {
-        "sequential": sequential.tuned_value,
-        "serial": serial.tuned_value,
-        "process": process.tuned_value,
-    }
     return {
         "sequential_seconds": sequential_s,
         "batched_seconds": serial_s,
         "speedup": sequential_s / serial_s if serial_s else float("inf"),
         "tuned_energy_sequential": sequential.tuned_value,
         "tuned_energy_batched": serial.tuned_value,
-        "energies_exact_match": len(set(energies.values())) == 1,
+        "energies_exact_match": sequential.tuned_value == serial.tuned_value,
         "num_evaluations": serial.num_evaluations,
         "engine_stats": engine.stats.as_dict(),
         # The headline reuse number (tracked by tests/test_reuse_regression.py).
@@ -253,31 +239,17 @@ def _h2_tuner_comparison():
             "misses": engine.stats.segment_misses,
             "hit_rate": engine.stats.segment_hit_rate,
         },
-        "parallelism": {
-            "workers": _PARALLEL_WORKERS,
-            "cpu_count": os.cpu_count(),
-            "serial_seconds": serial_s,
-            "process_seconds": process_s,
-            "tuned_energies": energies,
-        },
     }
 
 
 def _concurrent_frontends_leg():
-    """Two estimators sharing one engine: slot scheduler vs serial FIFO drain.
+    """Two estimators sharing one engine, against a blocking reference.
 
     Each frontend owns a *disjoint* family of H2 schedules (different bound
     parameters, so no shared simulated prefix across frontends) and submits
-    it in several process-tier batches from its own thread.  The
-    ``serial_fifo`` configuration pins the engine's scheduler to one process
-    slot — batches drain one at a time, as a single FIFO dispatcher would —
-    while ``concurrent`` uses the default slot table, letting the two
-    frontends' independent batches overlap (``docs/scheduler.md``).  Values must be bit-identical
-    between both configurations and a blocking serial reference; only
-    wall-clock may differ.  The overlap is a genuine parallel win from two
-    cores up — on a single-core host both configurations are bound by the
-    same total simulation work, which the recorded ``cpu_count`` makes
-    legible (``docs/benchmarks.md``).
+    it in several batches from its own thread; the engine's scheduler runs
+    them one at a time, round-robin across the two (``docs/scheduler.md``).
+    Values must be bit-identical to a blocking serial reference.
     """
     import threading
 
@@ -320,13 +292,11 @@ def _concurrent_frontends_leg():
         for family in families
     ]
 
-    def run_leg(slots):
-        # A fresh noise model per leg, as in the tuner comparison: later legs
-        # must not inherit the first leg's warmed channel caches.
+    def run_frontends():
+        # A fresh noise model, as in the tuner comparison: the reference
+        # below must not inherit warmed channel caches.
         noise_model = NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(noise_model, seed=11)
-        if slots is not None:
-            engine.scheduler_slots = slots
         estimators = [
             ExpectationEstimator(noise_model, seed=11, engine=engine) for _ in families
         ]
@@ -338,12 +308,7 @@ def _concurrent_frontends_leg():
                 futures = []
                 for batch in batches[index]:
                     futures.extend(
-                        estimators[index].submit_batch(
-                            batch,
-                            application.hamiltonian,
-                            max_workers=_PARALLEL_WORKERS,
-                            parallelism="process",
-                        )
+                        estimators[index].submit_batch(batch, application.hamiltonian)
                     )
                 values[index] = tuple(future.result().value for future in futures)
             except Exception as error:  # pragma: no cover - surfaced via raise below
@@ -363,10 +328,9 @@ def _concurrent_frontends_leg():
             raise errors[0]
         return elapsed, tuple(values[index] for index in range(len(families)))
 
-    fifo_seconds, fifo_values = run_leg({"process": 1})
-    concurrent_seconds, concurrent_values = run_leg(None)
+    concurrent_seconds, concurrent_values = run_frontends()
 
-    # Blocking serial reference: the determinism bar for both configurations.
+    # Blocking serial reference: the determinism bar.
     noise_model = NoiseModel.from_device(device)
     reference_engine = NoisyDensityMatrixEngine(noise_model, seed=11)
     reference_estimator = ExpectationEstimator(noise_model, seed=11, engine=reference_engine)
@@ -383,12 +347,9 @@ def _concurrent_frontends_leg():
         "num_frontends": len(families),
         "schedules_per_frontend": len(families[0]),
         "batches_per_frontend": len(batches[0]),
-        "workers": _PARALLEL_WORKERS,
         "cpu_count": os.cpu_count(),
-        "serial_fifo_seconds": fifo_seconds,
         "concurrent_seconds": concurrent_seconds,
-        "speedup": fifo_seconds / concurrent_seconds if concurrent_seconds else float("inf"),
-        "values_exact_match": fifo_values == concurrent_values == reference_values,
+        "values_exact_match": concurrent_values == reference_values,
     }
 
 
@@ -1056,12 +1017,6 @@ def main() -> None:
             f"batched {tuner['batched_seconds']:.2f}s "
             f"({tuner['speedup']:.1f}x, exact match: {tuner['energies_exact_match']})"
         )
-        parallel = tuner["parallelism"]
-        print(
-            f"[run_all] h2 tuner tiers ({parallel['workers']} workers, "
-            f"{parallel['cpu_count']} cores): serial {parallel['serial_seconds']:.2f}s, "
-            f"process {parallel['process_seconds']:.2f}s"
-        )
 
     # The concurrent-frontends leg (docs/scheduler.md): guarded like the
     # others so a scheduler regression still leaves the rest of the file.
@@ -1076,11 +1031,8 @@ def main() -> None:
     if concurrent is not None:
         print(
             f"[run_all] concurrent frontends ({concurrent['num_frontends']} estimators, "
-            f"{concurrent['cpu_count']} cores): serial FIFO "
-            f"{concurrent['serial_fifo_seconds']:.2f}s, concurrent "
-            f"{concurrent['concurrent_seconds']:.2f}s "
-            f"({concurrent['speedup']:.2f}x, exact match: "
-            f"{concurrent['values_exact_match']})"
+            f"{concurrent['cpu_count']} cores): {concurrent['concurrent_seconds']:.2f}s "
+            f"(exact match: {concurrent['values_exact_match']})"
         )
 
     # Randomized-schedule leg: benchmark inputs shared with the fuzz suites.

@@ -14,19 +14,17 @@ Part 1 below drives the engines directly; part 2 submits work
 next); part 3 runs the paper's feasible flow (Fig. 11, right), whose
 pipeline routes every machine execution through a shared
 ``NoisyDensityMatrixEngine`` — which is what makes the per-window mitigation
-sweeps fast.  Batch methods also take ``parallelism="serial" | "process"``
-(plus ``max_workers``); on ``NoisyDensityMatrixEngine`` the process tier fans
-a sweep out across cores with bit-identical results (the other two engines
-run it serially), and ``VAQEMConfig(parallelism="process")`` does the same
-for a whole pipeline, whose window tuner always overlaps each window sweep's
-candidate generation with execution: its one objective,
-``VAQEMPipeline.make_objective()``, returns futures.
+sweeps fast.  The pipeline's window tuner always overlaps each window
+sweep's candidate generation with execution: its one objective,
+``VAQEMPipeline.make_objective()``, returns futures.  With
+``VAQEMConfig(parallelism="process")`` the pipeline evaluates each strategy
+in a worker process instead, on a fresh engine, with bit-identical outcomes.
 
 The full design is documented in ``docs/architecture.md`` (layers, caching,
-prefix reuse, the multi-core worker protocol), ``docs/async.md`` (the
-futures-returning submission layer), ``docs/scheduler.md`` (the slot-based
-batch scheduler that overlaps independent frontends on a shared engine) and
-``docs/api.md`` (the public engine API).
+prefix reuse, the process tier), ``docs/async.md`` (the futures-returning
+submission layer), ``docs/scheduler.md`` (the batch scheduler that serves
+independent frontends on a shared engine) and ``docs/api.md`` (the public
+engine API).
 
 Run with::
 
@@ -114,8 +112,7 @@ def async_tour() -> None:
     print(f"  async == blocking: {energies == blocking}")
 
     # Multi-tenant: a second estimator can share the same engine.  Each
-    # submits under its own identity, so the scheduler overlaps their
-    # independent batches on its per-tier slots and serves both fairly
+    # submits under its own identity, so the scheduler serves both fairly
     # (docs/scheduler.md) — values stay bit-identical regardless.
     second = ExpectationEstimator(noise_model, seed=7, engine=estimator.engine)
     first_futures = estimator.submit_batch(schedules[:2], application.hamiltonian)

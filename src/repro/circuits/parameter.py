@@ -174,8 +174,23 @@ class Parameter(ParameterExpression):
     def __hash__(self):
         return hash(("Parameter", self._uid))
 
+    def __reduce__(self):
+        # The default slot protocol rebuilds the self-keyed ``_coeffs`` before
+        # ``_uid`` exists, and hashing a key needs ``_uid``.
+        return (_rebuild_parameter, (self._name, self._uid))
+
     def __repr__(self):
         return f"Parameter({self._name})"
+
+
+def _rebuild_parameter(name: str, uid: int) -> Parameter:
+    """The unpickled or copied :class:`Parameter`: equal to, and hashing like,
+    the original."""
+    parameter = Parameter.__new__(Parameter)
+    parameter._name = name
+    parameter._uid = uid
+    ParameterExpression.__init__(parameter, {parameter: 1.0}, 0.0)
+    return parameter
 
 
 class ParameterVector:

@@ -16,7 +16,6 @@ from .fingerprint import (
 )
 from .parallel import (
     PARALLELISM_MODES,
-    EngineWorkerSpec,
     ParallelismPlan,
     plan_shards,
     resolve_parallelism,
@@ -44,7 +43,6 @@ __all__ = [
     "derive_seed",
     "PARALLELISM_MODES",
     "ParallelismPlan",
-    "EngineWorkerSpec",
     "plan_shards",
     "resolve_parallelism",
 ]

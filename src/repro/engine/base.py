@@ -8,30 +8,22 @@ instantiating simulators ad hoc:
 * :meth:`ExecutionEngine.run` — execute one circuit, returning an
   :class:`EngineResult`,
 * :meth:`ExecutionEngine.run_batch` — execute many circuits, order-stably and
-  with shared caching (optionally fanned out over worker processes),
+  with shared caching,
 * :meth:`ExecutionEngine.expectation` / :meth:`expectation_batch` — estimate
   ``<H>`` of a Pauli-sum observable for one or many circuits.
 
-Batch methods accept ``parallelism="serial" | "process"`` plus
-``max_workers``.  On
-:class:`~repro.engine.density_engine.NoisyDensityMatrixEngine` the process
-tier (:mod:`repro.engine.parallel`) rebuilds the engine in worker processes,
-shards the batch so prefix-reuse chains stay within one worker, and merges
-worker cache entries back into the parent; every other engine runs a
-``"process"`` request serially.  Results are identical on both tiers for a
-seeded engine (see the seeding contract below).  Engines are also safe to
-share between threads: caller threads and overlapping scheduler slots meet
-behind the engines' locks.
+Every engine executes its batches serially, in the calling process; the one
+process tier sits above the engines, in ``VAQEMPipeline.run``
+(:mod:`repro.engine.parallel`).  Engines are safe to share between threads:
+caller threads and the scheduler thread meet behind the engines' locks.
 
 Every batch method also has an asynchronous counterpart — :meth:`submit`,
 :meth:`submit_batch`, :meth:`submit_expectation_batch` — returning ordered
 :class:`~repro.engine.futures.EngineFuture` handles instead of blocking.
-Submissions land on a persistent per-engine slot scheduler
-(:mod:`repro.engine.scheduler`): independent batches from different
-frontends overlap up to per-tier slot limits, batches whose schedules share
-simulated prefixes serialize, submitters are served round-robin, and pools
-are never torn down between batches.  Per the seeding contract async results
-are bit-identical to blocking calls; see ``docs/scheduler.md`` and
+Submissions land on a persistent per-engine scheduler
+(:mod:`repro.engine.scheduler`) that executes one batch at a time, serving
+submitters round-robin.  Per the seeding contract async results are
+bit-identical to blocking calls; see ``docs/scheduler.md`` and
 ``docs/async.md``.
 
 Three concrete engines cover the reproduction's backends:
@@ -52,7 +44,7 @@ Results are cached by *content fingerprint* (see
 circuits are never simulated twice — no matter which frontend submitted them.
 Cache hits return the same numbers the original execution produced, bit for
 bit.  For scheduled circuits the fingerprints, hash chains, prefix
-checkpoints, shard chains and scheduler conflict keys all digest the order
+checkpoints and shard chains all digest the order
 the simulator executes (time order, :mod:`repro.engine.canonical`), so a
 shared chain prefix always identifies a bit-identically replayable evolution
 prefix.
@@ -66,7 +58,7 @@ across all engines constructed with a seed:
 
 * ``run_batch(circuits)`` equals ``[run(c) for c in circuits]`` exactly,
   element by element, regardless of batch order, cache state, prefix reuse,
-  execution tier or concurrent callers;
+  the process the engine runs in or concurrent callers;
 * re-running the same circuit on the same engine reproduces the same samples;
 * two engines constructed with the same seed agree with each other;
 * an explicit ``seed=...`` argument to a sampling method overrides the
@@ -91,13 +83,7 @@ import numpy as np
 
 from ..exceptions import EngineError
 from .futures import DEFAULT_MAX_PENDING, EngineFuture
-from .parallel import (
-    EngineWorkerSpec,
-    ProcessPoolRegistry,
-    process_map,
-    resolve_parallelism,
-)
-from .scheduler import DEFAULT_SLOTS, BatchScheduler
+from .scheduler import BatchScheduler
 
 
 @dataclass
@@ -148,11 +134,9 @@ class EngineStats:
         return self.segment_hits / total if total else 0.0
 
     def add_counters(self, delta: Dict[str, int]) -> None:
-        """Fold a worker's counter delta into this stats object (by field name).
-
-        Unknown keys are ignored so that stats payloads from slightly older or
-        newer worker builds cannot crash a merge.
-        """
+        """Fold another engine's counters into this stats object (by field
+        name): a process VAQEM run folds each strategy engine's counters into
+        the pipeline engine's.  Unknown keys are ignored."""
         for name, value in delta.items():
             if hasattr(self, name) and not isinstance(getattr(type(self), name, None), property):
                 if name == "batch_width":
@@ -233,19 +217,6 @@ class ExecutionEngine(abc.ABC):
     def __init__(self, seed: Optional[int] = None):
         self.seed = seed
         self.stats = EngineStats()
-        #: Concurrent-batch slots per execution tier for this engine's
-        #: scheduler (``{"serial": 1, "process": 2}`` by default; the serial
-        #: tier is always pinned to one slot).  A private copy per instance
-        #: — reassign or mutate it before the first submission to resize;
-        #: see ``docs/scheduler.md``.
-        self.scheduler_slots: Dict[str, int] = dict(DEFAULT_SLOTS)
-        #: Persistent process pools, shared by concurrent batches (see
-        #: :class:`~repro.engine.parallel.ProcessPoolRegistry`).
-        self._pools = ProcessPoolRegistry()
-        #: Serializes stats merge-back: with the slot scheduler several
-        #: process-tier batches can complete (and fold worker counter deltas)
-        #: concurrently.
-        self._stats_lock = threading.Lock()
         #: Persistent batch scheduler (created lazily by the first submit)
         #: and the lock guarding its creation — two threads racing their
         #: first submit must share one scheduler or fairness accounting and
@@ -271,44 +242,21 @@ class ExecutionEngine(abc.ABC):
         (engines without sampling randomness accept and ignore it)."""
 
     # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        circuits: Sequence,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
-    ) -> List[EngineResult]:
-        """Execute many circuits; output order matches input order.
-
-        ``parallelism`` selects the execution tier:
-
-        * ``"serial"`` — one circuit after another on the calling thread;
-        * ``"process"`` — a persistent pool of worker processes, each holding
-          a rebuilt copy of this engine; the batch is sharded so schedules
-          sharing a simulated prefix stay on one worker, and worker cache
-          entries are merged back on return (:mod:`repro.engine.parallel`).
-          Only the noisy density-matrix engine crosses the process
-          boundary; the others run the batch serially.
-
-        ``max_workers`` bounds the pool size (default: one per core).
-        ``parallelism=None`` runs serially; ``max_workers > 1`` without
-        ``parallelism=`` raises :class:`~repro.exceptions.EngineError`.
-        Because of the content-derived seeding contract a seeded engine
-        returns identical results on every tier.
-        """
-        return self._dispatch_batch("run", circuits, {}, max_workers, parallelism)
+    def run_batch(self, circuits: Sequence) -> List[EngineResult]:
+        """Execute many circuits on the calling thread; output order matches
+        input order, and by the seeding contract each result equals
+        :meth:`run` of the same circuit."""
+        return self._dispatch_batch("run", circuits, {})
 
     def expectation_batch(
         self,
         circuits: Sequence,
         observable,
         shots: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> List[float]:
         """Estimate ``<observable>`` for many circuits, order-stably.
 
-        ``parallelism`` / ``max_workers`` behave as on :meth:`run_batch`.
         An explicit ``seed`` overrides the content-derived sampling seed for
         every item of the batch — exactly like passing the same ``seed`` to
         element-wise :meth:`expectation` calls (callers wanting independent
@@ -317,7 +265,7 @@ class ExecutionEngine(abc.ABC):
         :func:`repro.engine.fingerprint.derive_seed`).
         """
         kwargs = {"observable": observable, "shots": shots, "seed": seed}
-        return self._dispatch_batch("expectation", circuits, kwargs, max_workers, parallelism)
+        return self._dispatch_batch("expectation", circuits, kwargs)
 
     # ------------------------------------------------------------------
     # Asynchronous submission (see repro.engine.scheduler, docs/scheduler.md)
@@ -329,39 +277,29 @@ class ExecutionEngine(abc.ABC):
     def submit_batch(
         self,
         circuits: Sequence,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         submitter: Any = None,
         priority: int = 0,
     ) -> List[EngineFuture]:
         """Asynchronous :meth:`run_batch`: one future per circuit, in order.
 
-        The batch is queued on the engine's persistent slot scheduler and
-        executed through exactly the tier the ``parallelism`` /
-        ``max_workers`` knobs resolve to.  Batches from one ``submitter``
+        The batch is queued on the engine's persistent scheduler, which
+        executes one batch at a time.  Batches from one ``submitter``
         (default: the calling thread) execute FIFO among themselves;
-        independent batches from *different* submitters may overlap, up to
-        the per-tier limits in :attr:`scheduler_slots`, while batches whose
-        schedules share simulated prefixes serialize (see
-        ``docs/scheduler.md``).  ``priority`` (higher first) breaks ties
-        between runnable batches of different submitters.  Per the seeding
-        contract the resolved results are bit-identical to a blocking
-        :meth:`run_batch` call no matter how batches overlap.
+        different submitters are served round-robin, and ``priority``
+        (higher first) breaks ties between their queued batches (see
+        ``docs/scheduler.md``).  Per the seeding contract the resolved
+        results are bit-identical to a blocking :meth:`run_batch` call.
         ``future.cancel()`` prunes an item whose batch has not started;
         exceptions raised while executing the batch re-raise from
         ``future.result()``.
         """
-        return self._submit_job(
-            "run", circuits, {}, max_workers, parallelism, submitter, priority
-        )
+        return self._submit_job("run", circuits, {}, submitter, priority)
 
     def submit_expectation_batch(
         self,
         circuits: Sequence,
         observable,
         shots: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         submitter: Any = None,
         priority: int = 0,
         seed: Optional[int] = None,
@@ -371,25 +309,20 @@ class ExecutionEngine(abc.ABC):
         ``seed`` behaves exactly as on the blocking :meth:`expectation_batch`.
         """
         kwargs = {"observable": observable, "shots": shots, "seed": seed}
-        return self._submit_job(
-            "expectation", circuits, kwargs, max_workers, parallelism, submitter, priority
-        )
+        return self._submit_job("expectation", circuits, kwargs, submitter, priority)
 
     def _submit_job(
         self,
         kind: str,
         items: Sequence,
         kwargs: Dict[str, Any],
-        max_workers: Optional[int],
-        parallelism: Optional[str],
         submitter: Any = None,
         priority: int = 0,
     ) -> List[EngineFuture]:
         """Queue one batch on the (lazily created) scheduler."""
         items = [self._resolve_program(item) for item in items]
         return self._ensure_scheduler().submit(
-            kind, items, kwargs, max_workers, parallelism,
-            submitter=submitter, priority=priority,
+            kind, items, kwargs, submitter=submitter, priority=priority
         )
 
     def _resolve_program(self, item):
@@ -418,7 +351,6 @@ class ExecutionEngine(abc.ABC):
             if scheduler is None or scheduler.closed:
                 scheduler = BatchScheduler(
                     self,
-                    slots=self.scheduler_slots,
                     max_pending=self.max_pending_batches,
                     name=f"{self.name}-scheduler",
                 )
@@ -431,31 +363,12 @@ class ExecutionEngine(abc.ABC):
             return scheduler
 
     # ------------------------------------------------------------------
-    # Batch dispatch (serial / process tiers)
+    # Batch dispatch
     # ------------------------------------------------------------------
-    def _dispatch_batch(
-        self,
-        kind: str,
-        items: Sequence,
-        kwargs: Dict[str, Any],
-        max_workers: Optional[int],
-        parallelism: Optional[str],
-        chains: Optional[Sequence[Sequence[str]]] = None,
-    ) -> List:
-        """Route one batch through the tier the knobs resolve to.
-
-        ``chains`` optionally carries the items' precomputed hash chains
-        (the scheduler hashes them once at submit time for conflict
-        detection); the process tier reuses them instead of re-hashing.
-        """
+    def _dispatch_batch(self, kind: str, items: Sequence, kwargs: Dict[str, Any]) -> List:
+        """Execute one batch on the calling thread (blocking calls and the
+        scheduler thread both end here)."""
         items = [self._resolve_program(item) for item in items]
-        plan = resolve_parallelism(parallelism, max_workers, len(items))
-        if plan.mode == "process":
-            # Engines that cannot cross the process boundary run the batch
-            # serially rather than failing it.
-            spec = self._process_spec()
-            if spec is not None:
-                return process_map(self, spec, kind, items, kwargs, plan, chains=chains)
         fast = self._batch_fast_path(kind, items, kwargs)
         if fast is not None:
             return fast
@@ -464,19 +377,18 @@ class ExecutionEngine(abc.ABC):
     def _batch_fast_path(
         self, kind: str, items: Sequence, kwargs: Dict[str, Any]
     ) -> Optional[List]:
-        """Optional whole-batch execution of a serial-tier batch.
+        """Optional whole-batch execution of a batch.
 
-        Called by :meth:`_dispatch_batch` once the batch runs serially;
-        returning a result list (input order) replaces the per-item loop,
-        returning ``None`` falls back to it.  Implementations must be
-        *value-identical* to the per-item path — same numbers, same cache and
-        stats side effects — because callers choose tiers freely.
+        Called by :meth:`_dispatch_batch`; returning a result list (input
+        order) replaces the per-item loop, returning ``None`` falls back to
+        it.  Implementations must be *value-identical* to the per-item path —
+        same numbers, same cache and stats side effects.
         """
         return None
 
     def _serial_call(self, kind: str, item, kwargs: Dict[str, Any]):
-        """Execute one batch item on the calling thread (both tiers reduce to
-        this; subclasses extend it with additional kinds)."""
+        """Execute one batch item on the calling thread (subclasses extend it
+        with additional kinds)."""
         if kind == "run":
             return self.run(item)
         if kind == "expectation":
@@ -485,41 +397,23 @@ class ExecutionEngine(abc.ABC):
             )
         raise EngineError(f"engine {self.name!r} does not implement batch kind {kind!r}")
 
-    # ------------------------------------------------------------------
-    # Process-tier hooks (see repro.engine.parallel)
-    # ------------------------------------------------------------------
-    def _process_spec(self) -> Optional[EngineWorkerSpec]:
-        """How to rebuild this engine in a worker process.
-
-        ``None`` (the default) marks the engine as unable to cross the
-        process boundary; batch calls requesting ``parallelism="process"``
-        then run serially.  An engine returning a spec must also implement
-        the worker hooks :func:`~repro.engine.parallel.process_map` calls;
-        :class:`~repro.engine.density_engine.NoisyDensityMatrixEngine` is the
-        one that does.
-        """
-        return None
-
     def _shard_chain(self, kind: str, item) -> Sequence[str]:
-        """The item's hash chain.  The batch scheduler derives its conflict
-        keys from it, the service its store keys, and the process tier
-        groups prefix-sharing items into one shard by it.  The last entry
-        must be a full content fingerprint (it also keys payload
-        deduplication).  The default yields no grouping."""
+        """The item's hash chain; the service keys its result store by the
+        last entry, which must be a full content fingerprint.  The default
+        (object identity) makes nothing shareable."""
         return (repr(id(item)),)
 
     def close(self) -> None:
-        """Release pooled resources (drains the batch scheduler, joins any
-        process-pool workers).
+        """Drain the batch scheduler.
 
         Already-submitted batches finish first, so pending futures resolve
         rather than hang.  Idempotent: repeated closes (including with
         futures still in flight) drain and return instead of raising, and a
         close issued from inside a scheduler callback returns without
         deadlocking on its own batch.  Engines are usable again afterwards —
-        the next submission starts a fresh scheduler and the next
-        process-tier batch a fresh pool.  Garbage collection performs the
-        same cleanup, so calling this is optional but makes teardown prompt.
+        the next submission starts a fresh scheduler.  Garbage collection
+        performs the same cleanup, so calling this is optional but makes
+        teardown prompt.
         """
         with self._scheduler_lock:
             scheduler = self._scheduler
@@ -528,15 +422,8 @@ class ExecutionEngine(abc.ABC):
             self._scheduler_finalizer = None
         if finalizer is not None:
             finalizer.detach()
-        drained = True
         if scheduler is not None:
-            drained = scheduler.shutdown(wait=True)
-        if drained:
-            self._pools.shutdown()
-        # A not-fully-drained shutdown (close() issued from inside one of the
-        # scheduler's own worker threads) must leave the pools alone: other
-        # batches may still be running on them.  Their handles are joined by
-        # a later close() or by the pool finalizers on collection.
+            scheduler.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     def _sampling_rng(self, seed, *content: str) -> np.random.Generator:

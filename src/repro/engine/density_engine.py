@@ -24,13 +24,8 @@ The chains digest the order the simulator executes (time order, see
 instruction sequence the checkpoint's producer ran — bit-identical, never
 merely close.
 
-Both layers are thread-safe, so caller threads and overlapping scheduler
-slots may share one engine without changing any result.  The engine is also
-the one client of the process tier (:mod:`repro.engine.parallel`):
-batches submitted with ``parallelism="process"`` are sharded along schedule
-hash chains so prefix reuse survives the process boundary, and the workers'
-final states and expectation values are merged back into this engine's
-caches on return.
+Both layers are thread-safe, so caller threads and the scheduler thread may
+share one engine without changing any result.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ import os
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,8 +158,8 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         #: ``docs/ptm.md``).  ``None`` reads ``REPRO_ENGINE_KERNEL`` from the
         #: environment (default ``"dense"``).  The two kernels agree to float
         #: tolerance (<= 1e-9 on energies/probabilities), and each is
-        #: bit-reproducible with itself across every execution tier; the
-        #: kernel therefore salts every cache key via :meth:`_noise_key`.
+        #: bit-reproducible with itself in any process; the kernel therefore
+        #: salts every cache key via :meth:`_noise_key`.
         if kernel is None:
             kernel = os.environ.get("REPRO_ENGINE_KERNEL", "dense")
         if kernel not in ("dense", "ptm"):
@@ -203,9 +197,9 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         self._expectations = _LRUCache(expectation_cache_entries)
         self._snapshots = _ByteBudgetStore(snapshot_budget_bytes)
         #: Per-object memo of prepared ``(context, chain)`` pairs: one
-        #: schedule object is hashed several times per execution (scheduler
-        #: conflict detection, shard planning, the expectation cache-first
-        #: path), and re-preparing it each time is pure overhead.  Entries
+        #: schedule object is hashed several times per execution (the
+        #: expectation cache-first path, the PTM batch path, the service's
+        #: store key), and re-preparing it each time is pure overhead.  Entries
         #: are keyed by ``id`` with a weak reference for eviction (schedules
         #: are treated as immutable, like device models) and salted with the
         #: noise key so post-construction flag toggles recompute.
@@ -494,7 +488,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
     def _expectation_key(
         self, fingerprint: str, observable: PauliSum, shots, mitigator, seed
     ) -> Tuple:
-        """The expectation-cache key (identical parent- and worker-side)."""
+        """The expectation-cache key."""
         return (
             fingerprint,
             observable_fingerprint(observable),
@@ -522,8 +516,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         The expectation cache is consulted *before* the state is computed (the
         cache key only needs the schedule's content fingerprint), so a cached
         value never costs a simulation — even when the corresponding state was
-        evicted or, in the process tier's expectations-only IPC mode, never
-        shipped to this engine at all.
+        evicted.
         """
         scheduled = self._resolve_program(scheduled)
         prepared = self._chain(scheduled)
@@ -560,19 +553,15 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         observable: PauliSum,
         shots: Optional[int] = None,
         mitigator=None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> List[float]:
         """Batched ``<observable>``; equals element-wise :meth:`expectation`.
 
-        ``parallelism`` / ``max_workers`` select the execution tier exactly as
-        on :meth:`~repro.engine.base.ExecutionEngine.run_batch`.  ``seed``
-        overrides the content-derived sampling seed for every item, exactly
-        like passing it to element-wise :meth:`expectation` calls.
+        ``seed`` overrides the content-derived sampling seed for every item,
+        exactly like passing it to element-wise :meth:`expectation` calls.
         """
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
-        return self._dispatch_batch("expectation", circuits, kwargs, max_workers, parallelism)
+        return self._dispatch_batch("expectation", circuits, kwargs)
 
     def expectation_batch_full(
         self,
@@ -580,18 +569,15 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         observable: PauliSum,
         shots: Optional[int] = None,
         mitigator=None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> List[ExpectationData]:
         """Batched :meth:`expectation_full` (value plus per-group diagnostics).
 
         This is the path :class:`~repro.vqe.expectation.ExpectationEstimator`
-        batches through; it honours the same tier and ``seed`` knobs as
-        :meth:`expectation_batch`.
+        batches through; ``seed`` behaves as on :meth:`expectation_batch`.
         """
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
-        return self._dispatch_batch("expectation_full", circuits, kwargs, max_workers, parallelism)
+        return self._dispatch_batch("expectation_full", circuits, kwargs)
 
     # ------------------------------------------------------------------
     # Asynchronous submission (see repro.engine.futures)
@@ -602,22 +588,18 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         observable: PauliSum,
         shots: Optional[int] = None,
         mitigator=None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         submitter=None,
         priority: int = 0,
         seed: Optional[int] = None,
     ):
         """Asynchronous :meth:`expectation_batch` (futures resolving to floats).
 
-        ``submitter`` / ``priority`` feed the engine's slot scheduler exactly
-        as on :meth:`~repro.engine.base.ExecutionEngine.submit_batch`; ``seed``
+        ``submitter`` / ``priority`` feed the engine's scheduler exactly as on
+        :meth:`~repro.engine.base.ExecutionEngine.submit_batch`; ``seed``
         behaves as on the blocking :meth:`expectation_batch`.
         """
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
-        return self._submit_job(
-            "expectation", circuits, kwargs, max_workers, parallelism, submitter, priority
-        )
+        return self._submit_job("expectation", circuits, kwargs, submitter, priority)
 
     def submit_expectation_batch_full(
         self,
@@ -625,8 +607,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         observable: PauliSum,
         shots: Optional[int] = None,
         mitigator=None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         submitter=None,
         priority: int = 0,
         seed: Optional[int] = None,
@@ -638,15 +618,13 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         pipelined window tuner route through.  ``seed`` behaves as on the
         blocking :meth:`expectation_batch`."""
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
-        return self._submit_job(
-            "expectation_full", circuits, kwargs, max_workers, parallelism, submitter, priority
-        )
+        return self._submit_job("expectation_full", circuits, kwargs, submitter, priority)
 
     # ------------------------------------------------------------------
-    # Whole-batch PTM fast path (serial tier)
+    # Whole-batch PTM fast path
     # ------------------------------------------------------------------
     def _batch_fast_path(self, kind: str, items, kwargs):
-        """Serial-tier expectation batches on the PTM kernel run whole-batch.
+        """Expectation batches on the PTM kernel run whole-batch.
 
         Per-item schedule evolution stays on the fused-kernel path (each
         item's op stream is its own), but the measurement stage — identical
@@ -802,8 +780,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             self.stats.batch_width = max(self.stats.batch_width, width)
 
     # ------------------------------------------------------------------
-    # Process-tier worker protocol (see repro.engine.parallel)
-    # ------------------------------------------------------------------
     def _serial_call(self, kind: str, item, kwargs):
         if kind == "run":
             return self.run(item)
@@ -819,128 +795,8 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             )
         return super()._serial_call(kind, item, kwargs)
 
-    def _process_spec(self):
-        from .parallel import EngineWorkerSpec
-
-        return EngineWorkerSpec(
-            engine_class=type(self),
-            kwargs={
-                "noise_model": self.noise_model,
-                "seed": self.seed,
-                "result_cache_bytes": self.result_cache_bytes,
-                "expectation_cache_entries": self.expectation_cache_entries,
-                "snapshot_budget_bytes": self.snapshot_budget_bytes,
-                "enable_prefix_reuse": self.enable_prefix_reuse,
-                # Explicit, not env-derived: workers must run the kernel the
-                # parent resolved, whatever their environment says.
-                "kernel": self.kernel,
-                "enable_segment_reuse": self.enable_segment_reuse,
-            },
-            # The noise key already digests the device calibration and every
-            # noise-model flag, so post-construction toggles retire the pool.
-            # Segment reuse never changes values (replay is bit-identical)
-            # but does change per-worker counters, so it keys the pool too.
-            cache_key=(
-                f"{self.name}:{self._noise_key()}:{self.seed}:"
-                f"{self.enable_prefix_reuse}:{self.enable_segment_reuse}"
-            ),
-        )
-
     def _shard_chain(self, kind: str, scheduled: ScheduledCircuit) -> Sequence[str]:
         return self._chain(scheduled)[1]
-
-    def _shard_segment_keys(self, kind: str, scheduled: ScheduledCircuit):
-        """Segment keys for process-tier shard planning (see
-        :func:`repro.engine.parallel.plan_shards`): items whose segments
-        already sit in a worker's cache cost that worker almost nothing, so
-        the planner weighs each item by its *novel* segments.  ``None`` when
-        the engine holds no segment cache (the dense kernel), so the planner
-        uses its prefix cost model."""
-        return self._segment_keys(scheduled)
-
-    def _begin_shard(self) -> None:
-        """Worker-side hook invoked by :func:`repro.engine.parallel._execute_shard`
-        at the start of every shard.  Resets the reuse caches (prefix
-        snapshots and any segment records) so a shard's stats delta is a pure
-        function of shard content: persistent worker processes would
-        otherwise carry reuse state from earlier shards, and because the pool
-        does not assign shards to workers deterministically, counters like
-        the segment hit/miss split or a sibling shard's prefix resume would
-        depend on placement luck.  :func:`~repro.engine.parallel.plan_shards`
-        already groups prefix- and segment-sharing items into the *same*
-        shard, so within-shard reuse — the planned kind — is untouched; only
-        the accidental cross-shard warmth goes.  Result and expectation
-        caches stay: their entries are complete answers keyed by full
-        content, and the planner never splits content-identical items."""
-        with self._lock:
-            self._snapshots.clear()
-            if self._segments is not None:
-                self._segments.clear()
-
-    def _worker_execute(self, kind: str, item, kwargs):
-        from .parallel import CacheRecord
-
-        result = self._serial_call(kind, item, kwargs)
-        # Export the end-of-schedule state from the worker's own result cache
-        # (a distinct object from anything in `result`, so the parent's cache
-        # entry is never aliased with what the caller receives).  Read the
-        # store directly — a second `_state_for` would distort the stats
-        # delta with a synthetic cache hit.
-        fingerprint = self._chain(item)[1][-1]
-        records = []
-        with self._lock:
-            state = self._results.get(fingerprint)
-        if state is not None:
-            records.append(CacheRecord("result", fingerprint, state, int(state.data.nbytes)))
-        expectation_kind = kind in ("expectation", "expectation_full")
-        if expectation_kind and self._expectation_cacheable(kwargs["shots"], kwargs.get("seed")):
-            key = self._expectation_key(
-                fingerprint, kwargs["observable"], kwargs["shots"],
-                kwargs.get("mitigator"), kwargs.get("seed"),
-            )
-            with self._lock:
-                data = self._expectations.get(key)
-            if data is not None:
-                records.append(CacheRecord("expectation", key, data))
-        return result, records
-
-    def _worker_duplicate(self, result: EngineResult) -> EngineResult:
-        """Worker-side result for a content-identical repeated ``run`` item
-        within a shard.
-
-        Mirrors the serial path's second execution — a cache hit returning a
-        result flagged ``from_cache`` — without re-running or re-shipping the
-        heavy state (the shared arrays pickle once per shard).  Per the
-        :class:`EngineResult` contract the state of a ``from_cache`` result
-        is read-only, so the sharing is not observable.
-        """
-        self.stats.executions += 1
-        self.stats.cache_hits += 1
-        return replace(result, from_cache=True)
-
-    def _is_locally_cached(self, kind: str, item, kwargs, chain) -> bool:
-        fingerprint = chain[-1]
-        with self._lock:
-            if kind == "run":
-                return fingerprint in self._results
-            if kind in ("expectation", "expectation_full"):
-                if not self._expectation_cacheable(kwargs["shots"], kwargs.get("seed")):
-                    return False
-                key = self._expectation_key(
-                    fingerprint, kwargs["observable"], kwargs["shots"],
-                    kwargs.get("mitigator"), kwargs.get("seed"),
-                )
-                return self._expectations.get(key) is not None
-        return False
-
-    def _absorb_records(self, records) -> None:
-        with self._lock:
-            for record in records:
-                if record.kind == "result":
-                    if record.key not in self._results:
-                        self._results.put(record.key, record.value, record.nbytes)
-                elif record.kind == "expectation":
-                    self._expectations.put(record.key, record.value)
 
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:

@@ -31,11 +31,7 @@ _DEFAULT_SHOTS = object()
 
 
 class FakeDeviceEngine(ExecutionEngine):
-    """Noisy execution of logical circuits on a fake IBM-style device.
-
-    The engine does not cross the process boundary: a batch requesting
-    ``parallelism="process"`` runs serially, with the same values.
-    """
+    """Noisy execution of logical circuits on a fake IBM-style device."""
 
     name = "fake_device"
 
@@ -173,22 +169,19 @@ class FakeDeviceEngine(ExecutionEngine):
         observable: PauliSum,
         shots=_DEFAULT_SHOTS,
         mitigator=None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         seed: Optional[int] = None,
     ):
         """Batched ``<observable>``; equals element-wise :meth:`expectation`.
 
         Overrides the base implementation so the configured-``shots`` default
         applies to the batch path too (the base class would pass an explicit
-        ``shots=None``).  ``parallelism`` / ``max_workers`` select the
-        execution tier exactly as on :meth:`run_batch`; ``seed`` applies to
-        every item, as on element-wise calls.
+        ``shots=None``).  ``seed`` applies to every item, as on element-wise
+        calls.
         """
         if shots is _DEFAULT_SHOTS:
             shots = self.shots
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
-        return self._dispatch_batch("expectation", circuits, kwargs, max_workers, parallelism)
+        return self._dispatch_batch("expectation", circuits, kwargs)
 
     def submit_expectation_batch(
         self,
@@ -196,21 +189,17 @@ class FakeDeviceEngine(ExecutionEngine):
         observable: PauliSum,
         shots=_DEFAULT_SHOTS,
         mitigator=None,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         submitter=None,
         priority: int = 0,
         seed: Optional[int] = None,
     ):
         """Asynchronous :meth:`expectation_batch`; the configured-``shots``
         default applies exactly as on the blocking path, and ``submitter`` /
-        ``priority`` feed the engine's slot scheduler."""
+        ``priority`` feed the engine's scheduler."""
         if shots is _DEFAULT_SHOTS:
             shots = self.shots
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
-        return self._submit_job(
-            "expectation", circuits, kwargs, max_workers, parallelism, submitter, priority
-        )
+        return self._submit_job("expectation", circuits, kwargs, submitter, priority)
 
     # ------------------------------------------------------------------
     def _serial_call(self, kind: str, item, kwargs):
@@ -244,6 +233,6 @@ class FakeDeviceEngine(ExecutionEngine):
         self._noisy.reset_stats()
 
     def close(self) -> None:
-        """Release pooled resources of this engine and the inner one."""
+        """Drain this engine's scheduler and the inner engine's."""
         super().close()
         self._noisy.close()

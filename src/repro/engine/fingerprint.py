@@ -97,8 +97,7 @@ def invalidate_device_fingerprint(device: "DeviceModel") -> None:
     mutated in place (see :meth:`NoiseModel.invalidate_channel_cache` — the
     supported mutation path; every other mutation site builds a fresh
     model).  The next lookup re-digests the current calibration, so engine
-    caches and process-tier worker pools keyed on it miss instead of serving
-    pre-mutation results."""
+    caches keyed on it miss instead of serving pre-mutation results."""
     try:
         _device_fingerprints.pop(device, None)
     except TypeError:
@@ -130,12 +129,11 @@ def circuit_fingerprint(circuit: "QuantumCircuit") -> str:
 def circuit_hash_chain(circuit: "QuantumCircuit") -> List[str]:
     """``chain[k]`` identifies the first ``k`` instructions of a logical circuit.
 
-    The logical-circuit analogue of :func:`schedule_hash_chain`, used by the
-    process tier's shard scheduler to co-locate circuits sharing an
-    instruction prefix (and to weight shard balancing by circuit size).
-    Unlike schedule chains there is no prefix-resume fast path behind it, so
-    ``chain[-1]`` serves purely as a content key — it identifies the same
-    content as :func:`circuit_fingerprint` but is a distinct digest.
+    The logical-circuit analogue of :func:`schedule_hash_chain`, the
+    logical engines' ``_shard_chain``.  Unlike schedule chains there is no
+    prefix-resume fast path behind it, so ``chain[-1]`` serves purely as a
+    content key (the service's store key) — it identifies the same content
+    as :func:`circuit_fingerprint` but is a distinct digest.
     """
     chain = [_digest(str(circuit.num_qubits), str(circuit.num_clbits))]
     for inst in circuit.instructions:

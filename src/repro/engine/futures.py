@@ -10,7 +10,7 @@ wraps one in-flight result value, a raised exception, or cancellation, and
 mirrors the :class:`concurrent.futures.Future` surface plus :meth:`map` for
 derived views.
 
-Execution of submitted batches is the job of the slot-based
+Execution of submitted batches is the job of the
 :class:`~repro.engine.scheduler.BatchScheduler` (see
 :mod:`repro.engine.scheduler` and ``docs/scheduler.md``), which resolves
 these futures from its worker threads.
@@ -24,7 +24,7 @@ blocking call uses, and the content-derived seeding contract
 function of ``(engine seed, item content)`` rather than execution order.  A
 seeded engine therefore returns bit-identical results whether a batch is
 submitted asynchronously, blocked on, split across submissions, or
-interleaved — or overlapped — with other batches.
+interleaved with other batches.
 
 Cancellation and errors
 -----------------------

@@ -23,7 +23,7 @@ Bit-exactness contract
 ----------------------
 Replay applies the *identical* operator arrays in the *identical* order a
 cold walk applies, so states — and therefore energies — are bit-identical
-with segment reuse on or off, on every execution tier.  (Mathematically the
+with segment reuse on or off.  (Mathematically the
 segment also has a single composed matrix; applying that one matrix would
 change the floating-point evaluation order, so the engine deliberately
 replays the recorded per-kernel stream instead.  ``docs/segment_reuse.md``
@@ -60,10 +60,7 @@ Concurrency
 racing lookups with single-flight claims: the first thread to miss a key
 computes and records the segment, later threads block until the record
 lands and then replay it.  Counters are therefore deterministic — every
-distinct key is missed exactly once, however threads interleave.  (Worker
-processes each own a cache, reset at shard start by the engine's
-``_begin_shard`` hook so a shard's counters are a pure function of shard
-content rather than of which worker ran earlier shards.)
+distinct key is missed exactly once, however threads interleave.
 """
 
 from __future__ import annotations

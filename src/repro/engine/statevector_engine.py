@@ -29,9 +29,7 @@ from .fingerprint import circuit_fingerprint, circuit_hash_chain, observable_fin
 class StatevectorEngine(ExecutionEngine):
     """Cached, noise-free execution of logical circuits.
 
-    The engine does not cross the process boundary: a batch requesting
-    ``parallelism="process"`` runs serially, with the same values.  The
-    asynchronous ``submit`` / ``submit_batch`` / ``submit_expectation_batch``
+    The asynchronous ``submit`` / ``submit_batch`` / ``submit_expectation_batch``
     API is inherited unchanged from
     :class:`~repro.engine.base.ExecutionEngine` — exact expectations need no
     per-call kwargs beyond the observable.

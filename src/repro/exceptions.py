@@ -26,7 +26,7 @@ class SimulationError(ReproError):
 
 class EngineError(ReproError):
     """Raised when the execution-engine layer is misused (e.g. an unknown
-    ``parallelism`` mode or an uninitialised worker process)."""
+    ``parallelism`` mode or a submission to a closed scheduler)."""
 
 
 class NoiseModelError(SimulationError):

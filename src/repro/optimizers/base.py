@@ -19,7 +19,7 @@ objectives).  Optimizers that evaluate several points per step — SPSA's
 submit all of a step's points as one batch, which lets an engine-backed
 objective pipeline them through
 :meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch` and the
-engine's slot scheduler.  Plain callables fall back to element-wise
+engine's scheduler.  Plain callables fall back to element-wise
 evaluation transparently: :meth:`TrackingObjective.evaluate_batch` performs
 the probe, so optimizers only ever talk to the tracking wrapper.
 

@@ -32,7 +32,7 @@ All of an iteration's ``±c_k·Δ`` points (across every resampling) are
 submitted as **one** batch via
 :meth:`~repro.optimizers.base.TrackingObjective.evaluate_batch`: an
 engine-backed :class:`~repro.optimizers.base.BatchObjective` pipelines them
-through the engine's slot scheduler, while plain callables are evaluated
+through the engine's scheduler, while plain callables are evaluated
 element-wise in the same order.  Per the engine seeding contract the values
 — and therefore the whole optimization trajectory — are bit-identical either
 way.

@@ -41,7 +41,7 @@ _ENVELOPE_KEYS = frozenset({"protocol", "tenant", "programs"})
 _PROGRAM_KEYS = frozenset({"op", "program", "shots", "observable"})
 
 #: HTTP status per rejection class.  Anything not listed (engine-side
-#: execution failures, broken worker pools) maps to 500.
+#: execution failures) maps to 500.
 _STATUS_BY_CLASS = {
     RateLimitError: 429,
     QueueDepthError: 503,

@@ -286,10 +286,7 @@ class EngineService:
                 run_indices = [i for i in misses if prepared[i][0].op == "run"]
                 if run_indices:
                     batch = engine.submit_batch(
-                        [prepared[i][1] for i in run_indices],
-                        max_workers=self.config.max_workers,
-                        parallelism=self.config.parallelism,
-                        submitter=tenant,
+                        [prepared[i][1] for i in run_indices], submitter=tenant
                     )
                     futures.update(zip(run_indices, batch))
                 # Expectation kwargs are per batch, so group by them.
@@ -303,8 +300,6 @@ class EngineService:
                         [prepared[i][1] for i in indices],
                         prepared[indices[0]][2],
                         shots=shots,
-                        max_workers=self.config.max_workers,
-                        parallelism=self.config.parallelism,
                         submitter=tenant,
                     )
                     futures.update(zip(indices, batch))

@@ -133,8 +133,8 @@ class NoiseModel:
         """Drop memoised channels (call after mutating the device calibration).
 
         Also drops the engine layer's memoised fingerprint of the device, so
-        result caches and process-pool workers keyed on the old calibration
-        miss instead of serving pre-mutation states.
+        result caches keyed on the old calibration miss instead of serving
+        pre-mutation states.
         """
         self._channel_cache.clear()
         from ..engine.fingerprint import invalidate_device_fingerprint

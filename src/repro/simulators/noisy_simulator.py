@@ -122,14 +122,32 @@ class NoisySimulator:
         if scheduled.num_qubits > 10:
             raise SimulationError("density-matrix simulation is limited to 10 qubits")
         ordered = scheduled.sorted_instructions()
-        # Idle tracking starts at each qubit's first activity, since noise on
-        # |0> before the runtime begins has no observable effect.
-        initial_last_time: Dict[int, float] = {}
-        for position in range(scheduled.num_qubits):
-            ops = [t for t in ordered if position in t.qubits and t.name != "barrier"]
-            initial_last_time[position] = min((t.start_ns for t in ops), default=0.0)
+        # One walk builds both tables.  Idle tracking starts at each qubit's
+        # first activity, since noise on |0> before the runtime begins has no
+        # observable effect; ``ordered`` is sorted by start time, so the first
+        # instruction seen on a qubit starts earliest.
+        first_start: Dict[int, float] = {}
+        busy: Dict[int, List[Tuple[float, float]]] = {
+            q: [] for q in range(scheduled.num_qubits)
+        }
+        for timed in ordered:
+            if timed.name == "barrier":
+                continue
+            qubits = timed.qubits
+            start = timed.start_ns
+            for q in qubits:
+                first_start.setdefault(q, start)
+            if timed.duration_ns <= 0:
+                continue
+            span = (start, timed.end_ns)
+            for q in qubits:
+                busy[q].append(span)
+        for spans in busy.values():
+            spans.sort()
+        initial_last_time = {
+            q: first_start.get(q, 0.0) for q in range(scheduled.num_qubits)
+        }
         positions = {p: i for i, p in enumerate(scheduled.physical_qubits)}
-        busy = self._busy_intervals(scheduled)
         return ScheduleContext(
             ordered=ordered,
             busy=busy,
@@ -223,20 +241,6 @@ class NoisySimulator:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _busy_intervals(scheduled: ScheduledCircuit) -> Dict[int, List[Tuple[float, float]]]:
-        intervals: Dict[int, List[Tuple[float, float]]] = {
-            q: [] for q in range(scheduled.num_qubits)
-        }
-        for timed in scheduled.timed_instructions:
-            if timed.name == "barrier" or timed.duration_ns <= 0:
-                continue
-            for q in timed.qubits:
-                intervals[q].append((timed.start_ns, timed.end_ns))
-        for q in intervals:
-            intervals[q].sort()
-        return intervals
-
     @staticmethod
     def _coupled_positions(
         scheduled: ScheduledCircuit, positions: Dict[int, int]

@@ -64,12 +64,17 @@ class VAQEMConfig:
     angle_tuning_iterations: int = 200
     #: Random seed for the whole flow.
     seed: int = 11
-    #: Execution tier for every machine execution: ``"serial"`` or
-    #: ``"process"`` (``None`` keeps the engine's serial default).  The
-    #: process tier scales the sweeps across cores while the tuned energies
-    #: stay bit-identical at ``shots=None`` — see :mod:`repro.engine.parallel`.
+    #: How :meth:`VAQEMPipeline.run <repro.vaqem.framework.VAQEMPipeline.run>`
+    #: evaluates its strategies: ``None`` or ``"serial"`` one after another
+    #: on the pipeline's engine, ``"process"`` one worker-process task per
+    #: strategy, each on a fresh engine, with outcomes bit-identical to a
+    #: serial run (:mod:`repro.engine.parallel`).  A run with one strategy
+    #: runs serially.  After a process run the pipeline engine's caches are
+    #: cold (the strategies ran elsewhere); its stats hold the workers'
+    #: counters.
     parallelism: Optional[str] = None
-    #: Worker cap for the process tier (``None`` = one per core).
+    #: Worker processes of a process run (``None`` = one per core; never
+    #: more than the strategies).
     max_workers: Optional[int] = None
 
     def __post_init__(self):

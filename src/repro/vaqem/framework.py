@@ -13,19 +13,22 @@ optima are combined into the final mitigated schedule.
 
 :class:`VAQEMPipeline` also evaluates the paper's comparison points (No-EM,
 MEM baseline, one-round DD) so a single run produces everything Figs. 12-14
-need.
+need.  Each strategy is tuned and scored on its own, so a strategy is the
+unit the process tier maps over worker processes (:meth:`VAQEMPipeline.run`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.results import ApplicationResult, StrategyOutcome
 from ..backends.device import DeviceModel
 from ..engine.density_engine import NoisyDensityMatrixEngine
+from ..engine.parallel import process_map, resolve_parallelism
 from ..exceptions import VAQEMError
 from ..mitigation.dd import uniform_dd
 from ..mitigation.mem import MeasurementMitigator
@@ -104,9 +107,9 @@ class VAQEMPipeline:
         if noise_model is None and engine is not None:
             noise_model = engine.noise_model
         self.noise_model = noise_model or NoiseModel.from_device(self.device)
-        #: All machine executions route through one shared engine, so every
-        #: strategy evaluation and tuning sweep pools the same result cache
-        #: and prefix snapshots.
+        #: All machine executions of a serial run route through one shared
+        #: engine, so every strategy evaluation and tuning sweep pools the
+        #: same result cache and prefix snapshots.
         self.engine = engine or NoisyDensityMatrixEngine(self.noise_model, seed=self.config.seed)
         if self.engine.noise_model is not self.noise_model:
             raise VAQEMError("the injected engine must share the pipeline's noise model")
@@ -207,22 +210,15 @@ class VAQEMPipeline:
         """The objective ``[ScheduledCircuit] -> [future of energy]`` on the noisy
         machine: every tuner sweep and strategy evaluation runs through it.
 
-        The schedules queue on the shared engine's slot scheduler, which
-        resolves duplicates from its caches and simulates the rest from their
-        deepest common-prefix snapshots, on the tier ``config.parallelism`` /
-        ``config.max_workers`` select — with ``"process"`` the candidates are
-        sharded across worker processes along their prefix-reuse chains.
+        The schedules queue on the engine's scheduler, which resolves
+        duplicates from its caches and simulates the rest from their deepest
+        common-prefix snapshots.
         """
         estimator = self._make_estimator(use_mem)
         hamiltonian = self.application.hamiltonian
 
         def objective(schedules: Sequence[ScheduledCircuit]):
-            futures = estimator.submit_batch(
-                schedules,
-                hamiltonian,
-                max_workers=self.config.max_workers,
-                parallelism=self.config.parallelism,
-            )
+            futures = estimator.submit_batch(schedules, hamiltonian)
             return [future.map(lambda result: result.value) for future in futures]
 
         return objective
@@ -282,7 +278,15 @@ class VAQEMPipeline:
 
     # ------------------------------------------------------------------
     def run(self, strategies: Sequence[str] = STANDARD_STRATEGIES) -> VAQEMRunResult:
-        """Run the full flow and evaluate the requested strategies."""
+        """Run the full flow and evaluate the requested strategies.
+
+        Under ``config.parallelism="process"`` the angles are tuned and the
+        circuit compiled here, then each strategy is evaluated in a worker
+        process on a fresh serial engine with this engine's kernel and seed;
+        every engine's counters fold into :attr:`engine`'s stats.  The
+        outcomes equal a serial run's bit for bit.
+        """
+        strategies = list(strategies)
         angle_result = self.angle_result
         compiled = self.compile()
         result = VAQEMRunResult(
@@ -291,8 +295,21 @@ class VAQEMPipeline:
             angle_result=angle_result,
             transpile_result=compiled,
         )
-        for strategy in strategies:
-            outcome = self.evaluate_strategy(strategy)
+        plan = resolve_parallelism(self.config.parallelism, self.config.max_workers, len(strategies))
+        if plan.mode == "process":
+            shipped = (
+                self.application, self.config, self.device, self.noise_model,
+                self.engine.kernel, self.engine.seed, angle_result, compiled,
+            )
+            outcomes = []
+            for outcome, counters in process_map(
+                _evaluate_on_fresh_engine, [(shipped, s) for s in strategies], plan.workers
+            ):
+                self.engine.stats.add_counters(counters)
+                outcomes.append(outcome)
+        else:
+            outcomes = map(self.evaluate_strategy, strategies)
+        for strategy, outcome in zip(strategies, outcomes):
             result.energies[strategy] = outcome.energy
             result.evaluation_counts[strategy] = outcome.num_evaluations
             tuning = outcome.details.get("tuning")
@@ -300,3 +317,19 @@ class VAQEMPipeline:
                 result.tuning_results[strategy] = tuning
         result.engine_stats = self.engine.stats.as_dict()
         return result
+
+
+def _evaluate_on_fresh_engine(task: Tuple[tuple, str]) -> Tuple[StrategyOutcome, Dict[str, int]]:
+    """One strategy of a process run: the worker's :func:`process_map` task.
+
+    Rebuilds the pipeline around a fresh serial engine from what the parent
+    shipped, with its tuned angles and compiled circuit, and returns the
+    strategy's outcome with the engine's counters.
+    """
+    (application, config, device, noise_model, kernel, seed, angle_result, compiled), strategy = task
+    engine = NoisyDensityMatrixEngine(noise_model, seed=seed, kernel=kernel)
+    pipeline = VAQEMPipeline(application, config, device, noise_model, engine)
+    pipeline._angle_result = angle_result
+    pipeline._transpiled = compiled
+    outcome = pipeline.evaluate_strategy(strategy)
+    return outcome, dataclasses.asdict(engine.stats)

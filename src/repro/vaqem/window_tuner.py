@@ -22,10 +22,10 @@ evaluation.
 :meth:`IndependentWindowTuner.tune` pipelines the window sweeps: while
 window *N*'s candidates execute on the engine's batch scheduler, the tuner
 builds and submits window *N+1*'s candidates, so candidate generation
-overlaps execution and process-tier workers never sit idle between
-sweeps.  Each sweep is submitted as one batch, so candidates that differ
-only inside the swept window share the simulated prefix.  The engine
-seeding contract keeps the tuned result independent of this overlap.
+overlaps execution and the engine never sits idle between sweeps.  Each
+sweep is submitted as one batch, so candidates that differ only inside the
+swept window share the simulated prefix.  The engine seeding contract keeps
+the tuned result independent of this overlap.
 """
 
 from __future__ import annotations

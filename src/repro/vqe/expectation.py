@@ -75,8 +75,8 @@ class ExpectationEstimator:
         to pool caches across estimators (as :class:`~repro.vaqem.framework.
         VAQEMPipeline` does).  A shared engine is also the multi-tenant
         story: each estimator submits under its own identity, so the
-        engine's slot scheduler overlaps independent estimators' batches and
-        serves them fairly (see ``docs/scheduler.md``).
+        engine's scheduler serves independent estimators' batches fairly (see
+        ``docs/scheduler.md``).
     """
 
     def __init__(
@@ -121,8 +121,6 @@ class ExpectationEstimator:
         self,
         schedules: Sequence[ScheduledCircuit],
         hamiltonian: PauliSum,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         shots=_DEFAULT_SHOTS,
         seed: Optional[int] = None,
     ) -> List[ExpectationResult]:
@@ -133,10 +131,7 @@ class ExpectationEstimator:
         across repeated invocations.  With ``shots=None`` (exact mode) the
         values equal sequential :meth:`estimate` calls bit for bit.
 
-        ``parallelism="serial" | "process"`` and ``max_workers`` select the
-        engine's execution tier (see
-        :meth:`~repro.engine.base.ExecutionEngine.run_batch`); results are
-        identical across tiers.  ``shots`` / ``seed`` override the
+        ``shots`` / ``seed`` override the
         estimator's configured shot count and the content-derived sampling
         seed *for this batch only* — the adaptive shot collector uses both to
         give every collection round its own budget and independent
@@ -148,8 +143,6 @@ class ExpectationEstimator:
             hamiltonian,
             shots=self.shots if shots is _DEFAULT_SHOTS else shots,
             mitigator=self.mitigator,
-            max_workers=max_workers,
-            parallelism=parallelism,
             seed=seed,
         )
         effective = self.shots if shots is _DEFAULT_SHOTS else shots
@@ -159,8 +152,6 @@ class ExpectationEstimator:
         self,
         schedules: Sequence[ScheduledCircuit],
         hamiltonian: PauliSum,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
         priority: int = 0,
         shots=_DEFAULT_SHOTS,
         seed: Optional[int] = None,
@@ -169,17 +160,16 @@ class ExpectationEstimator:
 
         The futures resolve to :class:`ExpectationResult` objects and are
         ordered like the input.  Execution goes through the engine's
-        persistent slot scheduler (see ``docs/scheduler.md``) with *this
+        persistent scheduler (see ``docs/scheduler.md``) with *this
         estimator* as the submitter: several estimators sharing one engine
-        are served round-robin and their independent batches overlap up to
-        the engine's per-tier slots, while this estimator's own batches stay
-        FIFO.  ``priority`` (higher first) nudges the scheduler between
-        runnable batches of different submitters.  ``shots`` / ``seed``
-        override the configured shot count and sampling seed for this batch,
-        as on :meth:`estimate_batch`.  The resolved values are bit-identical
-        to a blocking :meth:`estimate_batch` call on any tier; the caller can
-        keep building further schedules while these execute — the pipelined
-        window tuner and the adaptive shot collector do exactly that.
+        are served round-robin, while this estimator's own batches stay FIFO.
+        ``priority`` (higher first) nudges the scheduler between queued
+        batches of different submitters.  ``shots`` / ``seed`` override the
+        configured shot count and sampling seed for this batch, as on
+        :meth:`estimate_batch`.  The resolved values are bit-identical to a
+        blocking :meth:`estimate_batch` call; the caller can keep building
+        further schedules while these execute — the pipelined window tuner
+        and the adaptive shot collector do exactly that.
         """
         effective = self.shots if shots is _DEFAULT_SHOTS else shots
         futures = self.engine.submit_expectation_batch_full(
@@ -187,8 +177,6 @@ class ExpectationEstimator:
             hamiltonian,
             shots=effective,
             mitigator=self.mitigator,
-            max_workers=max_workers,
-            parallelism=parallelism,
             submitter=self,
             priority=priority,
             seed=seed,

@@ -22,7 +22,7 @@ estimates them *while collecting*, in the style of Cirq's
 Every round is submitted through
 :meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch` — one
 submission per measurement group, all in flight together — so rounds stream
-through the engine's slot scheduler and the ansatz execution is engine-cached
+through the engine's scheduler and the ansatz execution is engine-cached
 across all groups and rounds (the noisy evolution runs **once**; only the
 measurement/sampling stage repeats).  Each (round, group) submission carries
 its own seed derived via :func:`repro.engine.fingerprint.derive_seed`, which
@@ -244,7 +244,7 @@ class AdaptiveShotCollector:
                     budget, [np.sqrt(e.variance) for e in estimates]
                 )
             # One submission per group with a non-zero allocation, all in
-            # flight together: the round streams through the slot scheduler,
+            # flight together: the round streams through the scheduler,
             # and the schedule body is engine-cached after the first group.
             submitted = []
             for group_index, shots in enumerate(allocations):

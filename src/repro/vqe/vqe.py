@@ -28,6 +28,10 @@ from ..simulators.statevector import StatevectorProgram
 from ..transpiler.pipeline import TranspileResult, transpile
 from .expectation import ExpectationEstimator
 
+#: Points per submitted batch when a trajectory is replayed: one chunk keeps
+#: the engine busy while the next is bound (and transpiled).
+TRAJECTORY_CHUNK = 4
+
 
 @dataclass
 class VQEResult:
@@ -156,7 +160,7 @@ class VQE:
 
         ``evaluate_batch`` loops over the compiled program on the caller's
         thread: an evaluation takes well under a millisecond, less than a
-        trip through the engine's slot scheduler.  Values are element-wise
+        trip through the engine's scheduler.  Values are element-wise
         :meth:`ideal_objective` calls.
         """
         return _IdealBatchObjective(self)
@@ -176,10 +180,10 @@ class VQE:
         a batch is transpiled and the resulting schedules are submitted as one
         :meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch` call,
         so simulation of early points overlaps transpilation-free dispatch of
-        the rest through the engine's slot scheduler.  Sampling randomness
+        the rest through the engine's scheduler.  Sampling randomness
         follows the *content-derived* engine seeding contract (not the
-        estimator's stateful generator), so single-point calls, batches, and
-        every execution tier agree bit for bit; with ``shots=None`` the
+        estimator's stateful generator), so single-point calls and batches
+        agree bit for bit; with ``shots=None`` the
         values also equal the serial :meth:`noisy_objective_factory` path.
         """
         if noise_model is None and engine is not None:
@@ -199,42 +203,27 @@ class VQE:
         result = self.optimizer.minimize(self.ideal_objective, point)
         return self._to_vqe_result(result, "ideal")
 
-    def evaluate_trajectory_ideal(
-        self,
-        parameter_history: Sequence[np.ndarray],
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
-    ) -> List[float]:
+    def evaluate_trajectory_ideal(self, parameter_history: Sequence[np.ndarray]) -> List[float]:
         """Ideal objective along a parameter trajectory (Fig. 8 top panel).
 
-        The trajectory is submitted in chunks through the engine's
-        asynchronous
+        The trajectory is submitted in chunks of :data:`TRAJECTORY_CHUNK`
+        points through the engine's asynchronous
         :meth:`~repro.engine.base.ExecutionEngine.submit_expectation_batch`,
-        so binding later points overlaps evolving earlier ones.
-        ``max_workers`` sets the chunk size; the statevector engine runs a
-        ``parallelism="process"`` chunk serially, since it does not cross the
-        process boundary.  Values equal per-point :meth:`ideal_objective`
-        calls bit for bit.
+        so binding later points overlaps evolving earlier ones.  Values equal
+        per-point :meth:`ideal_objective` calls bit for bit.
         """
         futures: List = []
         chunk: List[QuantumCircuit] = []
-        chunk_size = max(1, int(max_workers)) if max_workers is not None else 4
         for parameters in parameter_history:
             chunk.append(self.bind(parameters))
-            if len(chunk) >= chunk_size:
+            if len(chunk) >= TRAJECTORY_CHUNK:
                 futures.extend(
-                    self.engine.submit_expectation_batch(
-                        chunk, self.hamiltonian, max_workers=max_workers,
-                        parallelism=parallelism, submitter=self,
-                    )
+                    self.engine.submit_expectation_batch(chunk, self.hamiltonian, submitter=self)
                 )
                 chunk = []
         if chunk:
             futures.extend(
-                self.engine.submit_expectation_batch(
-                    chunk, self.hamiltonian, max_workers=max_workers,
-                    parallelism=parallelism, submitter=self,
-                )
+                self.engine.submit_expectation_batch(chunk, self.hamiltonian, submitter=self)
             )
         return [float(future.result()) for future in futures]
 
@@ -245,8 +234,6 @@ class VQE:
         noise_model: Optional[NoiseModel] = None,
         shots: Optional[int] = None,
         use_mem: bool = True,
-        max_workers: Optional[int] = None,
-        parallelism: Optional[str] = None,
     ) -> List[float]:
         """Noisy objective along a parameter trajectory (Fig. 8 bottom panel).
 
@@ -255,19 +242,16 @@ class VQE:
         transpiler, so transpilation of later points overlaps the noisy
         simulation of earlier ones on a shared
         :class:`NoisyDensityMatrixEngine`.  Repeated parameter vectors still
-        cost one simulation and ``parallelism="process"`` spreads each chunk
-        across cores; with ``shots=None`` (and, per the seeding contract,
-        with a seed and finite shots too) the values are bit-identical to the
-        historical blocking batch.
+        cost one simulation; with ``shots=None`` (and, per the seeding
+        contract, with a seed and finite shots too) the values are
+        bit-identical to the historical blocking batch.
         """
         noise_model = noise_model or NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(noise_model, seed=self.seed)
         estimator: Optional[ExpectationEstimator] = None
         futures: List = []
         chunk: List = []
-        # One chunk per worker-load keeps the scheduler busy while the next
-        # chunk transpiles; the chunk boundaries cannot change any value.
-        chunk_size = max(1, int(max_workers)) if max_workers is not None else 4
+        # The chunk boundaries cannot change any value.
         for parameters in parameter_history:
             circuit = self.bind(parameters)
             circuit.measure_all()
@@ -286,19 +270,11 @@ class VQE:
                     noise_model, shots=shots, mitigator=mitigator, seed=self.seed, engine=engine
                 )
             chunk.append(result.scheduled)
-            if len(chunk) >= chunk_size:
-                futures.extend(
-                    estimator.submit_batch(
-                        chunk, self.hamiltonian, max_workers=max_workers, parallelism=parallelism
-                    )
-                )
+            if len(chunk) >= TRAJECTORY_CHUNK:
+                futures.extend(estimator.submit_batch(chunk, self.hamiltonian))
                 chunk = []
         if chunk:
-            futures.extend(
-                estimator.submit_batch(
-                    chunk, self.hamiltonian, max_workers=max_workers, parallelism=parallelism
-                )
-            )
+            futures.extend(estimator.submit_batch(chunk, self.hamiltonian))
         return [float(future.result().value) for future in futures]
 
     @staticmethod
@@ -332,7 +308,7 @@ class _NoisyBatchObjective:
     evaluation — the mitigator needs a transpiled schedule to read the
     measured layout, which is identical for every point of a trajectory.
     Sampling randomness is content-derived (`seed=None` estimator, seeded
-    engine), so values are independent of batching and execution tier.
+    engine), so values are independent of batching.
     """
 
     def __init__(

@@ -2,8 +2,9 @@
 
 Covers the guarantees ``docs/async.md`` promises:
 
-* blocking-vs-async parity — bit-identical results on the serial and
-  process tiers, on all three engines;
+* blocking-vs-async parity — bit-identical results on all three engines,
+  and for the noisy engine also from a fresh engine in a process-map
+  worker;
 * exception propagation — a failing batch re-raises from
   ``EngineFuture.result()`` and is returned by ``exception()``;
 * cancellation — futures of not-yet-started batches cancel (and are pruned
@@ -17,9 +18,8 @@ Covers the guarantees ``docs/async.md`` promises:
 * scheduler lifecycle — close() drains pending batches, engines are
   reusable afterwards.
 
-The slot scheduler's own policies (per-tier slots, fingerprint-overlap
-serialization, fairness, priority, pool sharing) are covered in
-``tests/test_scheduler.py``.
+The scheduler's own policies (one batch at a time, fairness, priority) are
+covered in ``tests/test_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import CancelledError
+from functools import partial
 
 import numpy as np
 import pytest
 
+import in_worker
 from repro.circuits import efficient_su2
 from repro.engine import (
     BatchScheduler,
@@ -43,11 +45,10 @@ from repro.engine.futures import EngineFuture
 from repro.exceptions import EngineError, SimulationError
 from repro.mitigation import DDConfig, insert_dd_sequences
 from repro.mitigation.gate_scheduling import GSConfig, reschedule_gate
+from repro.simulators import NoiseModel
 from repro.transpiler import transpile
 from repro.vaqem import IndependentWindowTuner, TuningBudget, window_tuner
 from repro.vqe import ExpectationEstimator
-
-WORKERS = 2
 
 MODES = ("serial", "process")
 
@@ -162,22 +163,16 @@ class TestEngineFuture:
 # ----------------------------------------------------------------------------
 
 class _SlowEngine:
-    """Minimal engine stand-in whose batches block on an event.
-
-    All items share one fingerprint chain, so every batch conflicts with
-    every other and the scheduler drains them strictly one at a time — the
-    serial-drain behaviour the cancellation tests rely on.
-    """
+    """Minimal engine stand-in whose batches block on an event; the
+    scheduler drains them one at a time, which the cancellation tests rely
+    on."""
 
     def __init__(self):
         self.release = threading.Event()
         self.started = threading.Event()
         self.executed: list = []
 
-    def _shard_chain(self, kind, item):
-        return ("root", "shared-prefix")
-
-    def _dispatch_batch(self, kind, items, kwargs, max_workers, parallelism, chains=None):
+    def _dispatch_batch(self, kind, items, kwargs):
         self.started.set()
         if not self.release.wait(timeout=10):  # pragma: no cover - deadlock guard
             raise EngineError("test gate never opened")
@@ -194,8 +189,8 @@ class TestBatchScheduler:
         first = scheduler.submit("run", [1, 2], {})
         engine.started.wait(timeout=10)
         # The first batch is now running (uncancellable); the second and
-        # third conflict with it, so they are queued — fully cancellable for
-        # the second, partially for the third.
+        # third queue behind it — fully cancellable for the second, partially
+        # for the third.
         second = scheduler.submit("run", [3, 4], {})
         third = scheduler.submit("run", [5, 6], {})
         assert all(future.cancel() for future in second)
@@ -270,26 +265,26 @@ class TestBatchScheduler:
 
 class TestAsyncParity:
     @pytest.mark.parametrize("mode", MODES)
-    def test_noisy_expectations_bit_identical(self, device_noise, sweep_schedules, tfim4, mode):
+    def test_noisy_expectations_bit_identical(
+        self, device, device_noise, sweep_schedules, tfim4, mode
+    ):
+        """Async values equal blocking ones; with ``"process"`` the async
+        side runs on a fresh engine in a process-map worker."""
         _, schedules = sweep_schedules
         blocking_engine = NoisyDensityMatrixEngine(device_noise, seed=3)
         async_engine = NoisyDensityMatrixEngine(device_noise, seed=3)
-        blocking = blocking_engine.expectation_batch(
-            schedules, tfim4, max_workers=WORKERS, parallelism=mode
-        )
-        futures = async_engine.submit_expectation_batch(
-            schedules, tfim4, max_workers=WORKERS, parallelism=mode
-        )
-        assert gather(futures) == blocking
-        sampled_blocking = blocking_engine.expectation_batch(
-            schedules, tfim4, shots=256, max_workers=WORKERS, parallelism=mode
-        )
-        sampled_async = gather(
-            async_engine.submit_expectation_batch(
-                schedules, tfim4, shots=256, max_workers=WORKERS, parallelism=mode
-            )
-        )
-        assert sampled_async == sampled_blocking
+
+        def submitted(**kwargs):
+            if mode == "process":
+                build = partial(NoisyDensityMatrixEngine, NoiseModel.from_device(device), seed=3)
+                return in_worker.call(
+                    build, "submit_expectation_batch", schedules, tfim4, **kwargs
+                )[0]
+            return gather(async_engine.submit_expectation_batch(schedules, tfim4, **kwargs))
+
+        assert submitted() == blocking_engine.expectation_batch(schedules, tfim4)
+        sampled_blocking = blocking_engine.expectation_batch(schedules, tfim4, shots=256)
+        assert submitted(shots=256) == sampled_blocking
         blocking_engine.close()
         async_engine.close()
 
@@ -298,7 +293,7 @@ class TestAsyncParity:
         engine = NoisyDensityMatrixEngine(device_noise, seed=1)
         blocking = engine.run_batch(schedules)
         fresh = NoisyDensityMatrixEngine(device_noise, seed=1)
-        futures = fresh.submit_batch(schedules, max_workers=WORKERS, parallelism="process")
+        futures = fresh.submit_batch(schedules)
         for reference, result in zip(blocking, gather(futures)):
             assert reference.fingerprint == result.fingerprint
             assert np.array_equal(reference.state.data, result.state.data)
@@ -329,18 +324,14 @@ class TestAsyncParity:
         _, schedules = sweep_schedules
         split = len(schedules) // 2
         engine = NoisyDensityMatrixEngine(device_noise, seed=2)
-        first = engine.submit_expectation_batch(
-            schedules[:split], tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        second = engine.submit_expectation_batch(
-            schedules[split:], tfim4, max_workers=WORKERS, parallelism="process"
-        )
+        first = engine.submit_expectation_batch(schedules[:split], tfim4)
+        second = engine.submit_expectation_batch(schedules[split:], tfim4)
         values = gather(first) + gather(second)
         reference_engine = NoisyDensityMatrixEngine(device_noise, seed=2)
         reference = reference_engine.expectation_batch(schedules, tfim4)
         assert values == reference
-        # Merge-back correctness: every schedule's state and expectation is
-        # now in the parent's caches, so the blocking re-query is all hits.
+        # Every schedule's state and expectation is now in the engine's
+        # caches, so the blocking re-query is all hits.
         executions_before = engine.stats.executions
         requery = engine.expectation_batch(schedules, tfim4)
         assert requery == reference
@@ -394,8 +385,8 @@ class TestPipelinedTuner:
         tune_gate_scheduling,
         dd_resolution,
     ):
-        """Engine futures, pipelined over the slot scheduler, tune exactly as
-        sequential ``estimate`` calls do.  Without a GS phase the DD
+        """Engine futures, pipelined over the engine's scheduler, tune exactly
+        as sequential ``estimate`` calls do.  Without a GS phase the DD
         candidates submit eagerly; the outcome must still match."""
         compiled, _ = sweep_schedules
         budget = TuningBudget(dd_resolution=dd_resolution, gs_resolution=2, max_windows=3)
@@ -489,10 +480,10 @@ class TestFrontendAsyncRouting:
         points = [rng.uniform(-0.5, 0.5, ansatz.num_parameters) for _ in range(5)]
         ideal = vqe.evaluate_trajectory_ideal(points)
         assert ideal == [vqe.ideal_objective(p) for p in points]
-        # Chunked async submission (chunk size 2 via max_workers) equals the
-        # default chunking and the blocking reference, bit for bit.
+        # Chunked async submission equals the trajectory replayed in two
+        # parts, bit for bit: chunk boundaries cannot change a value.
         noisy_default = vqe.evaluate_trajectory_noisy(points, device)
-        noisy_chunked = vqe.evaluate_trajectory_noisy(
-            points, device, max_workers=2, parallelism="process"
-        )
-        assert noisy_default == noisy_chunked
+        noisy_split = vqe.evaluate_trajectory_noisy(
+            points[:2], device
+        ) + vqe.evaluate_trajectory_noisy(points[2:], device)
+        assert noisy_default == noisy_split

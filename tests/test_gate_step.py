@@ -8,6 +8,9 @@ they replaced, kept in this file as the reference.
   sides consume the fused stream; this walk does not.
 * Full scan: ``_idle_overlap`` summing over the whole busy list from t = 0,
   stopping only at the first interval that starts at or after the gap's end.
+* Two-pass tables: ``prepare``'s ``initial_last_time`` and busy lists as
+  they were built before one walk built both — a re-filter of the whole
+  ordered list per position, then a second walk of the instructions.
 """
 
 from __future__ import annotations
@@ -73,6 +76,41 @@ def full_scan_overlap(busy, start, end):
         if hi > lo:
             occupied += hi - lo
     return (end - start) - occupied
+
+
+def two_pass_tables(scheduled):
+    """``(initial_last_time, busy)`` as ``prepare`` built them in two passes."""
+    ordered = scheduled.sorted_instructions()
+    initial_last_time = {}
+    for position in range(scheduled.num_qubits):
+        ops = [t for t in ordered if position in t.qubits and t.name != "barrier"]
+        initial_last_time[position] = min((t.start_ns for t in ops), default=0.0)
+    busy = {q: [] for q in range(scheduled.num_qubits)}
+    for timed in scheduled.timed_instructions:
+        if timed.name == "barrier" or timed.duration_ns <= 0:
+            continue
+        for q in timed.qubits:
+            busy[q].append((timed.start_ns, timed.end_ns))
+    for q in busy:
+        busy[q].sort()
+    return initial_last_time, busy
+
+
+def nested_interval_schedule(device):
+    """One qubit whose busy list nests intervals (no overlap check runs on
+    ingested schedules)."""
+    scheduled = ScheduledCircuit(1, 0, device, (0,))
+    spans = [(0.0, 500.0), (100.0, 100.0), (150.0, 10.0), (300.0, 500.0),
+             (400.0, 50.0), (450.0, 0.0), (900.0, 50.0)]
+    for start, duration in spans:
+        scheduled.insert(Delay(duration), 0, start, duration)
+    return scheduled
+
+
+def assert_same_floats(got, expected):
+    """Equal values and equal float bits (``==`` alone equates 0.0 and -0.0)."""
+    assert repr(got) == repr(expected)
+    assert got == expected
 
 
 @pytest.fixture(scope="module")
@@ -150,11 +188,7 @@ class TestBisectedIdleOverlap:
         a busy list may nest intervals: the scan must start from the running
         maximum of end times, which ``prepare`` builds, not from any one
         interval's end."""
-        scheduled = ScheduledCircuit(1, 0, device, (0,))
-        spans = [(0.0, 500.0), (100.0, 100.0), (150.0, 10.0), (300.0, 500.0),
-                 (400.0, 50.0), (450.0, 0.0), (900.0, 50.0)]
-        for start, duration in spans:
-            scheduled.insert(Delay(duration), 0, start, duration)
+        scheduled = nested_interval_schedule(device)
         assert not scheduled.validate_no_overlap()
         context = NoisySimulator(NoiseModel.from_device(device)).prepare(scheduled)
         busy = context.busy[0]
@@ -167,3 +201,25 @@ class TestBisectedIdleOverlap:
             for end in points:
                 got = NoisySimulator._idle_overlap(busy, context.busy_reach[0], start, end)
                 assert got == full_scan_overlap(busy, start, end), (start, end)
+
+
+class TestOnePassPrepare:
+    """``prepare`` builds ``initial_last_time`` and the busy lists in one walk
+    of the ordered instructions; both must equal the two-pass build float
+    for float (``initial_last_time`` roots every schedule hash chain)."""
+
+    def test_equals_two_pass_build_on_the_fuzz_corpus(self, device):
+        simulator = NoisySimulator(NoiseModel.from_device(device))
+        for seed in STEP_SEEDS + SCAN_SEEDS:
+            scheduled = randomized.random_schedule(seed, device=device)
+            context = simulator.prepare(scheduled)
+            initial_last_time, busy = two_pass_tables(scheduled)
+            assert_same_floats(context.initial_last_time, initial_last_time)
+            assert_same_floats(context.busy, busy)
+
+    def test_equals_two_pass_build_on_nested_intervals(self, device):
+        scheduled = nested_interval_schedule(device)
+        context = NoisySimulator(NoiseModel.from_device(device)).prepare(scheduled)
+        initial_last_time, busy = two_pass_tables(scheduled)
+        assert_same_floats(context.initial_last_time, initial_last_time)
+        assert_same_floats(context.busy, busy)

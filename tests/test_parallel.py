@@ -1,40 +1,42 @@
-"""Tests for the multi-core process tier (:mod:`repro.engine.parallel`).
+"""Tests for the process tier (:mod:`repro.engine.parallel`).
 
-Covers the guarantees the parallel subsystem promises:
+Covers the guarantees it promises:
 
-* serial / process parity — bit-identical results at ``shots=None`` and
-  seed-deterministic sampled values otherwise, on all three engines (the
-  statevector and fake-device engines answer a process request serially);
-* cache merge-on-return — a noisy-engine process batch leaves the parent's
-  content-hash caches as warm as a serial one, and stats deltas fold back;
-* the prefix-aware shard scheduler — common-prefix grouping, duplicate
-  co-location, cost balancing, degenerate sizes;
+* the strategy map — ``VAQEMPipeline.run`` under
+  ``VAQEMConfig(parallelism="process")`` equals a serial run bit for bit,
+  its folded counters repeat, a failing strategy raises the serial run's
+  exception type, and a one-strategy run starts no pool;
+* values across the process boundary — a fresh engine in a
+  :func:`~repro.engine.parallel.process_map` worker returns what the same
+  call returns here, bit for bit at ``shots=None`` and seed-deterministic
+  otherwise, on all three engines, and its counters fold into another
+  engine's stats;
+* batches — every engine executes a batch on the calling thread, fills its
+  own caches, and equals element-wise calls;
 * the ``(parallelism, max_workers)`` knob resolution: two tiers, and a
   ``max_workers``-only request selects none;
-* pool lifecycle — persistent pools, stale-context retirement, and the
-  serial answer of the engines that do not cross the process boundary;
-* frontend routing — estimator batches and window-tuner sweeps produce
-  identical outcomes on every tier.
+* the prefix-aware shard planner, which nothing calls but the benchmark's
+  tracer still wraps.
 
-The suite deliberately uses ``max_workers=2``: the CI container may expose a
-single core, and two workers exercise every protocol path (sharding, payload
-dedup, merge-back) without oversubscribing it.
+The suite uses ``max_workers=2``: the CI container may expose a single core,
+and two workers exercise the map without oversubscribing it.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
+import in_worker
 from repro.circuits import efficient_su2
 from repro.engine import (
     FakeDeviceEngine,
     NoisyDensityMatrixEngine,
     StatevectorEngine,
-    circuit_hash_chain,
     plan_shards,
     resolve_parallelism,
 )
@@ -42,13 +44,18 @@ from repro.engine.parallel import ParallelismPlan, common_prefix_length
 from repro.exceptions import EngineError, VAQEMError
 from repro.mitigation import DDConfig, insert_dd_sequences
 from repro.mitigation.gate_scheduling import GSConfig, reschedule_gate
+from repro.simulators import NoiseModel
 from repro.transpiler import transpile
-from repro.vaqem import IndependentWindowTuner, TuningBudget, VAQEMConfig
-from repro.vqe import ExpectationEstimator
+from repro.vaqem import (
+    IndependentWindowTuner,
+    TuningBudget,
+    VAQEMConfig,
+    VAQEMPipeline,
+    framework,
+)
+from repro.vqe import ExpectationEstimator, get_application
 
 WORKERS = 2
-
-MODES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +104,13 @@ class TestResolveParallelism:
             resolve_parallelism(None, 4, 8)
 
     def test_removed_implied_threads_raises_from_batch_calls(self, logical_circuits):
+        # Batch calls take no tier knobs: the process tier maps strategies,
+        # above the engines.
         engine = StatevectorEngine(seed=1)
-        with pytest.raises(EngineError, match="parallelism='process'"):
+        with pytest.raises(TypeError):
             engine.run_batch(logical_circuits, max_workers=4)
+        with pytest.raises(TypeError):
+            engine.expectation_batch(logical_circuits, None, parallelism="process")
 
     def test_explicit_modes(self):
         assert resolve_parallelism("serial", 16, 8).mode == "serial"
@@ -164,113 +175,161 @@ class TestPlanShards:
 
 
 # ----------------------------------------------------------------------------
-# Engine parity across tiers
+# The strategy map
 # ----------------------------------------------------------------------------
 
-class TestNoisyEngineParity:
-    def _engines(self, device_noise, seed=1):
-        return {mode: NoisyDensityMatrixEngine(device_noise, seed=seed) for mode in MODES}
+SMALL_BUDGET = TuningBudget(dd_resolution=2, gs_resolution=2, max_windows=2)
 
-    def test_run_batch_bit_identical_across_modes(self, device_noise, sweep_schedules):
+
+def _h2_run(parallelism=None, strategies=framework.STANDARD_STRATEGIES):
+    config = VAQEMConfig(
+        angle_tuning_iterations=20,
+        budget=SMALL_BUDGET,
+        seed=5,
+        parallelism=parallelism,
+        max_workers=WORKERS if parallelism else None,
+    )
+    pipeline = VAQEMPipeline(get_application("UCCSD_H2"), config)
+    try:
+        return pipeline.run(strategies=strategies)
+    finally:
+        pipeline.engine.close()
+
+
+@pytest.fixture(scope="module")
+def h2_runs():
+    return {
+        "serial": _h2_run(),
+        "process": [_h2_run("process") for _ in range(2)],
+    }
+
+
+class TestStrategyMap:
+    def test_process_run_equals_serial_bit_for_bit(self, h2_runs):
+        serial, process = h2_runs["serial"], h2_runs["process"][0]
+        assert process.energies == serial.energies
+        assert list(process.energies) == list(serial.energies)
+        assert process.evaluation_counts == serial.evaluation_counts
+        assert set(process.tuning_results) == set(serial.tuning_results)
+        for strategy, tuning in serial.tuning_results.items():
+            other = process.tuning_results[strategy]
+            assert other.tuned_value == tuning.tuned_value
+            assert other.chosen_configurations() == tuning.chosen_configurations()
+
+    def test_engine_stats_repeat_across_process_runs(self, h2_runs):
+        first, second = h2_runs["process"]
+        assert first.engine_stats == second.engine_stats
+        # The strategies' engines did the work: their counters folded into
+        # the pipeline engine, which ran nothing itself.
+        assert first.engine_stats["executions"] > 0
+
+    def test_worker_exception_has_the_serial_type(self):
+        strategies = ("mem", "not_a_strategy")
+        with pytest.raises(VAQEMError) as serial:
+            _h2_run(strategies=strategies)
+        with pytest.raises(VAQEMError) as process:
+            _h2_run("process", strategies=strategies)
+        assert str(process.value) == str(serial.value)
+
+    def test_one_strategy_run_starts_no_pool(self, h2_runs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a one-strategy run started a pool")
+
+        monkeypatch.setattr(framework, "process_map", refuse)
+        result = _h2_run("process", strategies=("mem",))
+        assert result.energies == {"mem": h2_runs["serial"].energies["mem"]}
+
+
+# ----------------------------------------------------------------------------
+# Values across the process boundary
+# ----------------------------------------------------------------------------
+
+def _noisy(device, seed=None):
+    """A fresh noise model's engine (an empty channel memo pickles small)."""
+    return partial(NoisyDensityMatrixEngine, NoiseModel.from_device(device), seed=seed)
+
+
+class TestNoisyEngineParity:
+    def test_run_batch_bit_identical_across_modes(self, device, device_noise, sweep_schedules):
         _, schedules = sweep_schedules
-        engines = self._engines(device_noise)
-        results = {
-            mode: engine.run_batch(schedules, max_workers=WORKERS, parallelism=mode)
-            for mode, engine in engines.items()
-        }
-        for reference, other in zip(results["serial"], results["process"]):
+        engine = NoisyDensityMatrixEngine(device_noise, seed=1)
+        local = engine.run_batch(schedules)
+        remote, _ = in_worker.call(_noisy(device, seed=1), "run_batch", schedules)
+        for reference, other in zip(local, remote):
             assert reference.fingerprint == other.fingerprint
             assert np.array_equal(reference.state.data, other.state.data)
             assert np.array_equal(reference.probabilities, other.probabilities)
-        for engine in engines.values():
-            engine.close()
+        engine.close()
 
-    def test_expectation_batch_exact_and_sampled(self, device_noise, sweep_schedules, tfim4):
+    def test_expectation_batch_exact_and_sampled(self, device, device_noise, sweep_schedules, tfim4):
         _, schedules = sweep_schedules
-        engines = self._engines(device_noise, seed=3)
-        exact = {
-            mode: engine.expectation_batch(
-                schedules, tfim4, max_workers=WORKERS, parallelism=mode
-            )
-            for mode, engine in engines.items()
-        }
-        assert exact["serial"] == exact["process"]
-        sampled = {
-            mode: engine.expectation_batch(
-                schedules, tfim4, shots=256, max_workers=WORKERS, parallelism=mode
-            )
-            for mode, engine in engines.items()
-        }
-        # Seed-deterministic: content-derived randomness is identical across
-        # tiers and across engines constructed with the same seed.
-        assert sampled["serial"] == sampled["process"]
-        for engine in engines.values():
-            engine.close()
+        engine = NoisyDensityMatrixEngine(device_noise, seed=3)
+        exact, _ = in_worker.call(_noisy(device, seed=3), "expectation_batch", schedules, tfim4)
+        assert exact == engine.expectation_batch(schedules, tfim4)
+        # Seed-deterministic: content-derived randomness is identical in any
+        # process for engines constructed with the same seed.
+        sampled, _ = in_worker.call(
+            _noisy(device, seed=3), "expectation_batch", schedules, tfim4, shots=256
+        )
+        assert sampled == engine.expectation_batch(schedules, tfim4, shots=256)
+        engine.close()
 
     def test_process_batch_merges_results_into_parent_cache(
         self, device_noise, sweep_schedules
     ):
         _, schedules = sweep_schedules
         engine = NoisyDensityMatrixEngine(device_noise, seed=1)
-        engine.run_batch(schedules, max_workers=WORKERS, parallelism="process")
+        engine.run_batch(schedules)
         hits_before = engine.stats.cache_hits
-        # Every schedule must now be served from the parent's own cache
-        # without a process round-trip (run() is the serial path).
+        # The batch filled the engine's own cache: every schedule is now a hit.
         for scheduled in schedules:
             assert engine.run(scheduled).from_cache
         assert engine.stats.cache_hits >= hits_before + len(schedules)
         engine.close()
 
-    def test_worker_stats_fold_into_parent(self, device_noise, sweep_schedules):
+    def test_worker_stats_fold_into_parent(self, device, device_noise, sweep_schedules, tfim4):
         _, schedules = sweep_schedules
         serial = NoisyDensityMatrixEngine(device_noise, seed=1)
-        serial.run_batch(schedules, parallelism="serial")
-        process = NoisyDensityMatrixEngine(device_noise, seed=1)
-        process.run_batch(schedules, max_workers=WORKERS, parallelism="process")
-        # Executions: one per batch item on both paths (local + worker-side).
-        assert process.stats.executions == serial.stats.executions
-        assert process.stats.cache_misses >= 1
-        assert process.stats.instructions_simulated >= 1
+        serial.expectation_batch(schedules, tfim4)
+        _, counters = in_worker.call(_noisy(device, seed=1), "expectation_batch", schedules, tfim4)
+        # A process VAQEM run folds each strategy engine's counters the same
+        # way; the same work on a fresh engine counts the same.
+        parent = NoisyDensityMatrixEngine(device_noise, seed=1)
+        parent.stats.add_counters(counters)
+        assert parent.stats == serial.stats
+        parent.stats.add_counters(counters)
+        assert parent.stats.executions == 2 * serial.stats.executions
+        assert parent.stats.batch_width == serial.stats.batch_width
         serial.close()
-        process.close()
+        parent.close()
 
-    def test_unseeded_engine_process_path_executes(self, device_noise, sweep_schedules, tfim4):
-        """Without a seed the process tier still works; sampled values are
-        simply fresh entropy (no cross-tier determinism is promised)."""
+    def test_unseeded_engine_process_path_executes(self, device, sweep_schedules, tfim4):
+        """Without a seed an engine in a worker still works; sampled values
+        are simply fresh entropy (no cross-process determinism is promised)."""
         _, schedules = sweep_schedules
-        engine = NoisyDensityMatrixEngine(device_noise)
-        values = engine.expectation_batch(
-            schedules[:3], tfim4, shots=64, max_workers=WORKERS, parallelism="process"
+        values, _ = in_worker.call(
+            _noisy(device), "expectation_batch", schedules[:3], tfim4, shots=64
         )
         assert len(values) == 3
         assert all(np.isfinite(v) for v in values)
-        engine.close()
 
 
 class TestStatevectorEngineParity:
     def test_run_and_expectation_across_modes(self, logical_circuits, tfim4):
-        engines = {mode: StatevectorEngine(seed=5) for mode in MODES}
-        runs = {
-            mode: engine.run_batch(logical_circuits, max_workers=WORKERS, parallelism=mode)
-            for mode, engine in engines.items()
-        }
-        for reference, other in zip(runs["serial"], runs["process"]):
+        engine = StatevectorEngine(seed=5)
+        build = partial(StatevectorEngine, seed=5)
+        runs, _ = in_worker.call(build, "run_batch", logical_circuits)
+        for reference, other in zip(engine.run_batch(logical_circuits), runs):
             assert np.array_equal(reference.state, other.state)
-        values = {
-            mode: engine.expectation_batch(
-                logical_circuits, tfim4, max_workers=WORKERS, parallelism=mode
-            )
-            for mode, engine in engines.items()
-        }
-        assert values["serial"] == values["process"]
-        for engine in engines.values():
-            engine.close()
+        values, _ = in_worker.call(build, "expectation_batch", logical_circuits, tfim4)
+        assert values == engine.expectation_batch(logical_circuits, tfim4)
+        engine.close()
 
     def test_process_batch_populates_state_cache(self, logical_circuits):
         engine = StatevectorEngine(seed=5)
-        engine.run_batch(logical_circuits, max_workers=WORKERS, parallelism="process")
-        # The engine runs a process request serially, so the batch fills its
-        # own state cache; the cached statevectors stay read-only.
+        engine.run_batch(logical_circuits)
+        # The batch fills the engine's own state cache; the cached
+        # statevectors stay read-only.
         for circuit in logical_circuits:
             assert engine.run(circuit).from_cache
         result = engine.run(logical_circuits[0])
@@ -283,47 +342,34 @@ class TestFakeDeviceEngineParity:
         measured = [c.copy() for c in logical_circuits]
         for circuit in measured:
             circuit.measure_all()
-        engines = {mode: FakeDeviceEngine(device, seed=6, shots=300) for mode in MODES}
-        runs = {
-            mode: engine.run_batch(measured, max_workers=WORKERS, parallelism=mode)
-            for mode, engine in engines.items()
-        }
-        for reference, other in zip(runs["serial"], runs["process"]):
+        engine = FakeDeviceEngine(device, seed=6, shots=300)
+        build = partial(FakeDeviceEngine, device, seed=6, shots=300)
+        runs, _ = in_worker.call(build, "run_batch", measured)
+        for reference, other in zip(engine.run_batch(measured), runs):
             assert reference.counts == other.counts
             assert np.array_equal(reference.probabilities, other.probabilities)
-        exact = {
-            mode: engine.expectation_batch(
-                measured, tfim4, shots=None, max_workers=WORKERS, parallelism=mode
-            )
-            for mode, engine in engines.items()
-        }
-        assert exact["serial"] == exact["process"]
-        sampled = {
-            mode: engine.expectation_batch(
-                measured, tfim4, max_workers=WORKERS, parallelism=mode
-            )
-            for mode, engine in engines.items()
-        }
-        assert sampled["serial"] == sampled["process"]
-        for engine in engines.values():
-            engine.close()
+        exact, _ = in_worker.call(build, "expectation_batch", measured, tfim4, shots=None)
+        assert exact == engine.expectation_batch(measured, tfim4, shots=None)
+        sampled, _ = in_worker.call(build, "expectation_batch", measured, tfim4)
+        assert sampled == engine.expectation_batch(measured, tfim4)
+        engine.close()
 
     def test_process_batch_merges_transpile_cache(self, device, logical_circuits):
         measured = [c.copy() for c in logical_circuits]
         for circuit in measured:
             circuit.measure_all()
         engine = FakeDeviceEngine(device, seed=6, shots=100)
-        engine.run_batch(measured, max_workers=WORKERS, parallelism="process")
+        engine.run_batch(measured)
         misses_before = engine.stats.transpile_cache_misses
-        engine.run_batch(measured, parallelism="serial")
-        # The engine runs a process request serially, so its own transpile
-        # cache serves the serial re-run without recompiling.
+        engine.run_batch(measured)
+        # The first batch filled the engine's own transpile cache, so the
+        # re-run recompiles nothing.
         assert engine.stats.transpile_cache_misses == misses_before
         engine.close()
 
 
 # ----------------------------------------------------------------------------
-# Pool lifecycle
+# Engine lifecycle
 # ----------------------------------------------------------------------------
 
 class TestPoolLifecycle:
@@ -332,32 +378,23 @@ class TestPoolLifecycle:
     ):
         _, schedules = sweep_schedules
         engine = NoisyDensityMatrixEngine(device_noise, seed=2)
-        engine.expectation_batch(schedules[:3], tfim4, max_workers=WORKERS, parallelism="process")
-        (first_pool,) = engine._pools.handles()
-        engine.clear_caches()  # must not kill the pool
-        engine.expectation_batch(schedules[3:], tfim4, max_workers=WORKERS, parallelism="process")
-        assert engine._pools.handles() == [first_pool]
+        first = engine.expectation_batch(schedules[:3], tfim4)
         engine.close()
-        assert engine._pools.handles() == []
         engine.close()  # idempotent
-        # Engine is usable again after close (a fresh pool spins up).
-        values = engine.expectation_batch(
-            schedules[:2], tfim4, max_workers=WORKERS, parallelism="process"
-        )
-        assert len(values) == 2
+        # The engine is usable again after close.
+        assert engine.expectation_batch(schedules[:3], tfim4) == first
         engine.close()
 
     def test_noise_flag_toggle_retires_stale_pool(self, device, sweep_schedules):
-        from repro.simulators import NoiseModel
-
         _, schedules = sweep_schedules
         noise = NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(noise, seed=2)
-        engine.run_batch(schedules[:3], max_workers=WORKERS, parallelism="process")
-        (first_pool,) = engine._pools.handles()
+        engine.run_batch(schedules[:3])
         noise.include_relaxation = False
-        toggled = engine.run_batch(schedules[:3], max_workers=WORKERS, parallelism="process")
-        assert engine._pools.handles() != [first_pool]
+        toggled = engine.run_batch(schedules[:3])
+        # The toggle salts every cache key: the engine recomputes instead of
+        # serving pre-toggle states.
+        assert not any(result.from_cache for result in toggled)
         fresh = NoisyDensityMatrixEngine(noise, seed=2).run_batch(schedules[:3])
         for a, b in zip(toggled, fresh):
             assert np.array_equal(a.state.data, b.state.data)
@@ -366,15 +403,13 @@ class TestPoolLifecycle:
     def test_engine_without_process_spec_runs_process_requests_serially(
         self, device, logical_circuits, tfim4, monkeypatch
     ):
-        # Only NoisyDensityMatrixEngine crosses the process boundary: the
-        # statevector and fake-device engines answer a process request on one
-        # thread, with the serial values, and never start a pool.
+        # Every engine answers a blocking batch on the calling thread, and a
+        # submitted batch on one scheduler thread, with the same values.
         measured = [c.copy() for c in logical_circuits]
         for circuit in measured:
             circuit.measure_all()
 
         def check(engine, reference, circuits):
-            assert engine._process_spec() is None
             callers = set()
             serial_call = engine._serial_call
 
@@ -383,21 +418,13 @@ class TestPoolLifecycle:
                 return serial_call(kind, item, kwargs)
 
             monkeypatch.setattr(engine, "_serial_call", recording_call)
-            values = engine.expectation_batch(
-                circuits, tfim4, max_workers=WORKERS, parallelism="process"
-            )
+            values = engine.expectation_batch(circuits, tfim4)
             assert values == reference.expectation_batch(circuits, tfim4)
             assert callers == {threading.get_ident()}
-            assert engine._pools.handles() == []
-            # The scheduler accounts the batch on the process tier's slots and
-            # runs it serially on one of its own threads.
             callers.clear()
-            futures = engine.submit_expectation_batch(
-                circuits, tfim4, max_workers=WORKERS, parallelism="process"
-            )
+            futures = engine.submit_expectation_batch(circuits, tfim4)
             assert [future.result() for future in futures] == values
             assert len(callers) == 1 and threading.get_ident() not in callers
-            assert engine._pools.handles() == []
             engine.close()
             reference.close()
 
@@ -413,37 +440,34 @@ class TestPoolLifecycle:
 # Frontend routing
 # ----------------------------------------------------------------------------
 
-class TestFrontendRouting:
-    def test_estimator_batch_identical_across_tiers(self, device_noise, sweep_schedules, tfim4):
-        _, schedules = sweep_schedules
-        values = {}
-        for mode in MODES:
-            estimator = ExpectationEstimator(device_noise, seed=9)
-            results = estimator.estimate_batch(
-                schedules, tfim4, max_workers=WORKERS, parallelism=mode
-            )
-            values[mode] = [r.value for r in results]
-            estimator.engine.close()
-        assert values["serial"] == values["process"]
+def _estimates(device, schedules, hamiltonian):
+    estimator = ExpectationEstimator(NoiseModel.from_device(device), seed=9)
+    return [r.value for r in estimator.estimate_batch(schedules, hamiltonian)]
 
-    def test_tuner_sweeps_identical_across_tiers(self, device_noise, sweep_schedules, tfim4):
+
+def _tune(device, compiled, hamiltonian, budget):
+    estimator = ExpectationEstimator(NoiseModel.from_device(device), seed=9)
+    tuner = IndependentWindowTuner(
+        objective=lambda ss: [
+            future.map(lambda r: r.value)
+            for future in estimator.submit_batch(ss, hamiltonian)
+        ],
+        budget=budget,
+    )
+    return tuner.tune(compiled.scheduled, compiled.idle_windows)
+
+
+class TestFrontendRouting:
+    def test_estimator_batch_identical_across_tiers(self, device, sweep_schedules, tfim4):
+        _, schedules = sweep_schedules
+        local = _estimates(device, schedules, tfim4)
+        assert in_worker.run(_estimates, device, schedules, tfim4) == local
+
+    def test_tuner_sweeps_identical_across_tiers(self, device, sweep_schedules, tfim4):
         compiled, _ = sweep_schedules
         budget = TuningBudget(dd_resolution=2, gs_resolution=2, max_windows=3)
-        outcomes = {}
-        for mode in MODES:
-            estimator = ExpectationEstimator(device_noise, seed=9)
-            tuner = IndependentWindowTuner(
-                objective=lambda ss: [
-                    future.map(lambda r: r.value)
-                    for future in estimator.submit_batch(
-                        ss, tfim4, max_workers=WORKERS, parallelism=mode
-                    )
-                ],
-                budget=budget,
-            )
-            outcomes[mode] = tuner.tune(compiled.scheduled, compiled.idle_windows)
-            estimator.engine.close()
-        serial, process = outcomes["serial"], outcomes["process"]
+        serial = _tune(device, compiled, tfim4, budget)
+        process = in_worker.run(_tune, device, compiled, tfim4, budget)
         assert process.baseline_value == serial.baseline_value
         assert process.tuned_value == serial.tuned_value
         assert process.num_evaluations == serial.num_evaluations
@@ -490,8 +514,9 @@ class TestFrontendRouting:
         points = [rng.uniform(-0.5, 0.5, ansatz.num_parameters) for _ in range(3)]
         batched = vqe.evaluate_trajectory_ideal(points)
         assert batched == [vqe.ideal_objective(p) for p in points]
-        noisy_serial = vqe.evaluate_trajectory_noisy(points, device)
-        noisy_process = vqe.evaluate_trajectory_noisy(
-            points, device, max_workers=WORKERS, parallelism="process"
-        )
-        assert noisy_serial == noisy_process
+        noisy = vqe.evaluate_trajectory_noisy(points, device)
+        # Where the trajectory is cut into batches cannot change a value.
+        split = vqe.evaluate_trajectory_noisy(
+            points[:1], device
+        ) + vqe.evaluate_trajectory_noisy(points[1:], device)
+        assert noisy == split

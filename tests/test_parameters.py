@@ -1,10 +1,13 @@
 """Unit tests for symbolic circuit parameters."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.circuits import efficient_su2
 from repro.circuits.parameter import (
     Parameter,
     ParameterExpression,
@@ -12,7 +15,9 @@ from repro.circuits.parameter import (
     bind_value,
     free_parameters,
 )
+from repro.engine import circuit_fingerprint
 from repro.exceptions import ParameterError
+from repro.vqe import get_application
 
 
 class TestParameter:
@@ -132,3 +137,54 @@ class TestHelpers:
     def test_free_parameters_union(self):
         a, b = Parameter("a"), Parameter("b")
         assert free_parameters([a + 1, 2.0, b]) == frozenset({a, b})
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+COPIES = {"pickle": _pickled, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("duplicate", COPIES.values(), ids=COPIES.keys())
+class TestCopies:
+    """Pickled and deep-copied parameters equal and hash like the originals,
+    so a parametrized circuit or application binds to the same content after
+    crossing a process boundary."""
+
+    def test_parameter(self, duplicate):
+        theta = Parameter("theta")
+        copied = duplicate(theta)
+        assert copied == theta and hash(copied) == hash(theta)
+        assert copied.name == "theta"
+        assert copied.coefficient(theta) == 1.0
+        assert duplicate(2 * theta + 1) == 2 * theta + 1
+
+    def test_parameter_vector(self, duplicate):
+        vector = ParameterVector("phi", 3)
+        copied = duplicate(vector)
+        assert copied.params == vector.params
+        assert [hash(p) for p in copied] == [hash(p) for p in vector]
+
+    def test_parametrized_circuit(self, duplicate):
+        ansatz = efficient_su2(3, reps=1)
+        copied = duplicate(ansatz)
+        assert copied.sorted_parameters() == ansatz.sorted_parameters()
+        values = [0.1 * (index + 1) for index in range(ansatz.num_parameters)]
+        assert circuit_fingerprint(copied.bind_parameters(values)) == circuit_fingerprint(
+            ansatz.bind_parameters(values)
+        )
+
+    @pytest.mark.parametrize("name", ("UCCSD_H2", "HW_TFIM_4q_c_6r"))
+    def test_application(self, duplicate, name):
+        application = get_application(name)
+        copied = duplicate(application)
+        assert copied.name == application.name
+        assert copied.ansatz.sorted_parameters() == application.ansatz.sorted_parameters()
+        assert {hash(p) for p in copied.ansatz.parameters} == {
+            hash(p) for p in application.ansatz.parameters
+        }
+        values = [0.05 * (index - 2) for index in range(application.num_parameters)]
+        assert circuit_fingerprint(copied.ansatz.bind_parameters(values)) == circuit_fingerprint(
+            application.ansatz.bind_parameters(values)
+        )

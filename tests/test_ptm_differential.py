@@ -10,22 +10,25 @@ claims:
 
 * dense and PTM engines agree on expectations, probabilities and
   density matrices to ``<= 1e-9`` on every schedule;
-* PTM results are identical across the serial and process tiers, and the
-  serial tier's batched measurement fast path equals sequential per-item
+* PTM results are identical here and on a fresh engine in a process-map
+  worker, and the batched measurement fast path equals sequential per-item
   calls bit for bit;
 * a warm PTM engine resuming from checkpoints is bit-identical to a cold
   one (fusion never crosses the stride grid, and the engine aligns its
   checkpoint depths to it);
 * the fusion/batch counters are a pure function of the submitted work;
-* the kernel is part of the noise key: process pools and caches never serve
-  one kernel's state to the other.
+* the kernel is part of the noise key: caches never serve one kernel's
+  state to the other.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+import in_worker
 import randomized
 from repro.engine import FakeDeviceEngine, NoisyDensityMatrixEngine
 from repro.operators import tfim_hamiltonian
@@ -109,14 +112,13 @@ class TestPtmTierExactness:
             noise, seed=11, kernel="dense"
         ).expectation_batch(schedules, observable)
         values = {}
-        for tier in ("serial", "process"):
-            engine = NoisyDensityMatrixEngine(noise, seed=11, kernel="ptm")
-            try:
-                values[tier] = engine.expectation_batch(
-                    schedules, observable, parallelism=tier, max_workers=2
-                )
-            finally:
-                engine.close()
+        engine = NoisyDensityMatrixEngine(noise, seed=11, kernel="ptm")
+        values["serial"] = engine.expectation_batch(schedules, observable)
+        engine.close()
+        values["process"], _ = in_worker.call(
+            partial(NoisyDensityMatrixEngine, noise, seed=11, kernel="ptm"),
+            "expectation_batch", schedules, observable,
+        )
         assert values["serial"] == values["process"]
         for a, b in zip(values["serial"], dense_values):
             assert abs(a - b) <= ATOL
@@ -141,16 +143,14 @@ class TestPtmTierExactness:
             randomized.random_schedule(seed, device=device)
             for seed in SAMPLING_SEEDS[:4]
         ]
-        per_tier = {}
-        for tier in ("serial", "process"):
-            engine = NoisyDensityMatrixEngine(noise, seed=23, kernel="ptm")
-            try:
-                per_tier[tier] = engine.expectation_batch(
-                    schedules, observable, shots=256, parallelism=tier, max_workers=2
-                )
-            finally:
-                engine.close()
-        assert per_tier["serial"] == per_tier["process"]
+        engine = NoisyDensityMatrixEngine(noise, seed=23, kernel="ptm")
+        serial = engine.expectation_batch(schedules, observable, shots=256)
+        engine.close()
+        process, _ = in_worker.call(
+            partial(NoisyDensityMatrixEngine, noise, seed=23, kernel="ptm"),
+            "expectation_batch", schedules, observable, shots=256,
+        )
+        assert serial == process
 
     def test_seeded_sampling_deterministic(self, device, noise):
         for seed in SAMPLING_SEEDS[:4]:
@@ -273,24 +273,20 @@ class TestKernelIsolation:
         assert NoisyDensityMatrixEngine(noise).kernel == "dense"
 
     def test_noise_toggle_retires_ptm_pool(self, device, observable):
-        """Process pools are keyed on the noise key (which includes the
-        kernel); flag toggles retire them on the PTM kernel exactly as on the
-        dense one (see test_parallel.py)."""
+        """Cache keys digest the noise key (which includes the kernel); a
+        flag toggle misses the PTM engine's caches exactly as the dense
+        one's (see test_parallel.py)."""
         noise = NoiseModel.from_device(device)
         schedules = [
             randomized.random_schedule(seed, device=device) for seed in TIER_SEEDS[:3]
         ]
         engine = NoisyDensityMatrixEngine(noise, seed=2, kernel="ptm")
         try:
-            engine.expectation_batch(
-                schedules, observable, max_workers=2, parallelism="process"
-            )
-            (first_pool,) = engine._pools.handles()
+            engine.expectation_batch(schedules, observable)
             noise.include_relaxation = False
-            toggled = engine.expectation_batch(
-                schedules, observable, max_workers=2, parallelism="process"
-            )
-            assert engine._pools.handles() != [first_pool]
+            misses = engine.stats.cache_misses
+            toggled = engine.expectation_batch(schedules, observable)
+            assert engine.stats.cache_misses == misses + len(schedules)
             fresh = NoisyDensityMatrixEngine(
                 noise, seed=2, kernel="ptm"
             ).expectation_batch(schedules, observable)

@@ -8,12 +8,12 @@ claim:
   (``ScheduledCircuit.sorted_instructions``), and the listed order of
   same-start instructions is content the fingerprint tells apart;
 * engine results equal the raw simulator's, bit for bit;
-* the serial and process tiers, and caller threads sharing one engine,
-  return bit-identical expectations;
+* a batch, the same batch on a fresh engine in a process-map worker, and
+  caller threads sharing one engine return bit-identical expectations;
 * prefix-resumed execution (a warm engine full of another schedule's
   checkpoints) is bit-identical to a cold run;
-* seeded sampling draws identical values on the serial and process tiers,
-  per the content-derived seeding contract;
+* seeded sampling draws identical values here and in a worker process, per
+  the content-derived seeding contract;
 * the statevector and fake-device engines keep exact parity with their
   underlying simulators under batching;
 * hash chains built from the instruction tokens kept on each
@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
+import in_worker
 import randomized
 from repro.engine import (
     FakeDeviceEngine,
@@ -183,26 +185,24 @@ class TestEngineVersusRawSimulator:
 
 class TestTierParity:
     def test_serial_thread_process_tiers(self, device, observable):
-        """Both tiers, and two caller threads sharing one engine, return
-        bit-identical expectations."""
+        """A batch, the same batch in a process-map worker, and two caller
+        threads sharing one engine return bit-identical expectations."""
         noise = NoiseModel.from_device(device)
         schedules = [
             randomized.random_schedule(seed, device=device) for seed in TIER_SEEDS
         ]
-        values = {}
-        for tier in ("serial", "process"):
-            engine = NoisyDensityMatrixEngine(noise, seed=11)
-            try:
-                values[tier] = engine.expectation_batch(
-                    schedules, observable, parallelism=tier, max_workers=2
-                )
-            finally:
-                engine.close()
+        engine = NoisyDensityMatrixEngine(noise, seed=11)
+        serial = engine.expectation_batch(schedules, observable)
+        engine.close()
+        process, _ = in_worker.call(
+            partial(NoisyDensityMatrixEngine, noise, seed=11),
+            "expectation_batch", schedules, observable,
+        )
         engine = NoisyDensityMatrixEngine(noise, seed=11)
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda s: engine.expectation(s, observable), schedules))
         engine.close()
-        assert values["serial"] == values["process"] == threaded
+        assert serial == process == threaded
 
 
 class TestPrefixResumeExactness:
@@ -233,16 +233,14 @@ class TestSeededSampling:
             randomized.random_schedule(seed, device=device)
             for seed in SAMPLING_SEEDS
         ]
-        per_tier = {}
-        for tier in ("serial", "process"):
-            engine = NoisyDensityMatrixEngine(noise, seed=23)
-            try:
-                per_tier[tier] = engine.expectation_batch(
-                    schedules, observable, shots=256, parallelism=tier, max_workers=2
-                )
-            finally:
-                engine.close()
-        assert per_tier["serial"] == per_tier["process"]
+        engine = NoisyDensityMatrixEngine(noise, seed=23)
+        serial = engine.expectation_batch(schedules, observable, shots=256)
+        engine.close()
+        process, _ = in_worker.call(
+            partial(NoisyDensityMatrixEngine, noise, seed=23),
+            "expectation_batch", schedules, observable, shots=256,
+        )
+        assert serial == process
 
 
 class TestOtherEngines:

@@ -11,13 +11,13 @@ tests replay the benchmark's sweep configuration and pin three facts:
   value is ~0.72; raise the floor when it improves), and segment replay
   leaves the tuned energy bit-identical;
 * the dense kernel reuses prefixes only: its sweep counts no segments,
-  keeps every prefix resume and hands the shard planner no segment keys;
-* the tuned energy is bit-identical across the serial and process tiers
-  and a sweep whose candidates caller threads fan into one engine, and the
-  counters honour each path's determinism contract.  Serial and process
-  repeat runs report *identical* stats (serial trivially; worker processes
-  reset their reuse caches at shard start — ``_begin_shard`` — so every
-  shard's delta is a pure function of shard content).  With caller threads,
+  keeps every prefix resume and computes no segment keys;
+* the tuned energy is bit-identical across a sweep run here, one run in a
+  process-map worker and one whose candidates caller threads fan into one
+  engine, and the counters honour each path's determinism contract.  Repeat
+  runs here and in a worker report *identical* stats (each sweep starts on a
+  fresh engine, so its counters are a pure function of the sweep).  With
+  caller threads,
   whether an item finds a sibling's prefix snapshot is timing: a prefix-skip
   can become a segment replay, shifting ``segment_hits`` (and the PTM
   kernel's matmul/fusion tallies) without changing any result.  What stays
@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import in_worker
 from repro.engine import NoisyDensityMatrixEngine
 from repro.simulators import NoiseModel
 from repro.transpiler import transpile
@@ -76,8 +77,6 @@ def _run_sweep(
     kernel="ptm",
     enable_segment_reuse=True,
     budget=FULL_BUDGET,
-    parallelism=None,
-    max_workers=2,
     caller_threads=None,
 ):
     """One window-tuner sweep on a fresh engine; returns ``(result, stats)``.
@@ -95,14 +94,11 @@ def _run_sweep(
     )
     estimator = ExpectationEstimator(noise_model, seed=11, engine=engine)
     hamiltonian = application.hamiltonian
-    batch_kwargs = (
-        {} if parallelism is None else {"parallelism": parallelism, "max_workers": max_workers}
-    )
     if caller_threads is None:
         def objective(schedules):
             return [
                 future.map(lambda r: r.value)
-                for future in estimator.submit_batch(schedules, hamiltonian, **batch_kwargs)
+                for future in estimator.submit_batch(schedules, hamiltonian)
             ]
     else:
         pool = ThreadPoolExecutor(max_workers=caller_threads)
@@ -154,9 +150,8 @@ def test_segment_reuse_is_bitwise_transparent_on_the_sweep(h2_sweep, noseg_sweep
 
 def test_dense_kernel_reuses_prefixes_only(h2_sweep_inputs, h2_sweep):
     # The dense kernel holds no segment cache: it counts no segments, keeps
-    # its prefix resumes, hands the shard planner no segment keys (so
-    # plan_shards uses its prefix cost model), and tunes to the PTM sweep's
-    # energy within the kernels' float tolerance.
+    # its prefix resumes, computes no segment keys, and tunes to the PTM
+    # sweep's energy within the kernels' float tolerance.
     application, device, compiled = h2_sweep_inputs
     result, stats = _run_sweep(application, device, compiled, kernel="dense")
     assert stats.segment_hits == stats.segment_misses == 0
@@ -165,27 +160,27 @@ def test_dense_kernel_reuses_prefixes_only(h2_sweep_inputs, h2_sweep):
     assert result.tuned_value == pytest.approx(h2_sweep[0].tuned_value, abs=1e-9)
     engine = NoisyDensityMatrixEngine(NoiseModel.from_device(device), kernel="dense")
     try:
-        assert engine._shard_segment_keys("expectation", compiled.scheduled) is None
+        assert engine._segment_keys(compiled.scheduled) is None
     finally:
         engine.close()
 
 
+def _small_sweep(application, device, compiled):
+    return _run_sweep(application, device, compiled, budget=SMALL_BUDGET)
+
+
 class TestTierDeterminism:
-    """Counters are a pure function of the workload on every tier, and the
-    tuned energy is bit-identical across tiers and under caller threads."""
+    """Counters are a pure function of the workload, here and in a
+    process-map worker, and the tuned energy is bit-identical across both
+    and under caller threads."""
 
     @pytest.fixture(scope="class")
     def tier_sweeps(self, h2_sweep_inputs):
-        application, device, compiled = h2_sweep_inputs
         sweeps = {
-            tier: [
-                _run_sweep(
-                    application, device, compiled, budget=SMALL_BUDGET, parallelism=tier
-                )
-                for _ in range(2)
-            ]
-            for tier in (None, "process")
+            None: [_small_sweep(*h2_sweep_inputs) for _ in range(2)],
+            "process": [in_worker.run(_small_sweep, *h2_sweep_inputs) for _ in range(2)],
         }
+        application, device, compiled = h2_sweep_inputs
         sweeps["caller_threads"] = [
             _run_sweep(application, device, compiled, budget=SMALL_BUDGET, caller_threads=2)
         ]

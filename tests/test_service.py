@@ -29,7 +29,6 @@ import randomized
 from repro.circuits import QuantumCircuit, efficient_su2
 from repro.engine import NoisyDensityMatrixEngine
 from repro.exceptions import (
-    EngineError,
     QueueDepthError,
     RateLimitError,
     ResourceLimitError,
@@ -153,9 +152,9 @@ class TestAdmission:
         "knobs", [{"parallelism": "gpu"}, {"parallelism": "thread"}, {"max_workers": 4}]
     )
     def test_config_rejects_what_no_engine_would_run(self, knobs):
-        # Checked at construction: such a service would otherwise start and
-        # then fail every request that misses the store.
-        with pytest.raises(EngineError):
+        # A served engine executes its batches serially: the config takes no
+        # tier knobs, so a service never starts with one it would ignore.
+        with pytest.raises(TypeError):
             ServiceConfig(**knobs)
 
 

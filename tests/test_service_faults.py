@@ -1,9 +1,9 @@
 """Seeded fault-injection harness for the service tier.
 
 Each test injects one failure class the degradation contract names —
-disconnects mid-request, malformed bytes, quota exhaustion, worker-pool
-death, shutdown with in-flight batches — and checks the same three
-invariants every time:
+disconnects mid-request, malformed bytes, quota exhaustion, worker-process
+death in a process map, shutdown with in-flight batches — and checks the
+same three invariants every time:
 
 * the failing tenant gets a **typed** error (or a counted aborted
   connection), never a hang or a raw traceback;
@@ -12,7 +12,7 @@ invariants every time:
 * the server (or engine) **keeps serving** afterwards.
 
 Everything is deterministic: sockets are driven byte-by-byte, the gated
-engine blocks on explicit events, and worker pools are killed by pid — no
+engine blocks on explicit events, and a worker process kills itself — no
 sleeps standing in for synchronization.
 """
 
@@ -30,9 +30,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.circuits import efficient_su2
 from repro.engine import NoisyDensityMatrixEngine, gather
+from repro.engine.parallel import process_map
 from repro.exceptions import RateLimitError
 from repro.frontend import ingest_json
 from repro.service import EngineServer, ServiceClient, ServiceConfig, TenantPolicy
+from repro.simulators import NoiseModel
 
 BELL_DOC = {
     "format": "repro-circuit", "version": 1, "num_qubits": 2, "num_clbits": 2,
@@ -154,12 +156,20 @@ class TestQuotaFaults:
         assert rejected["rate_limit"] == 1
 
 
+def _run_or_die(task):
+    """A process-map task that SIGKILLs its own worker for a doomed batch."""
+    device, schedules, doomed = task
+    if doomed:
+        os.kill(os.getpid(), signal.SIGKILL)
+    engine = NoisyDensityMatrixEngine(NoiseModel.from_device(device), seed=31)
+    return gather(engine.submit_batch(schedules))
+
+
 class TestWorkerPoolDeath:
     def test_pool_death_is_one_typed_failure_then_full_recovery(self, device, device_noise):
-        """A SIGKILLed worker pool fails its batch with the typed broken-pool
-        error, is evicted from the registry, and the next batch rebuilds a
-        fresh pool whose results are bit-identical to a never-faulted engine.
-        """
+        """A worker process killed mid-map fails that map with the typed
+        broken-pool error, and the next map, on a pool of its own, returns
+        results bit-identical to a never-faulted engine."""
         from repro.transpiler import transpile
 
         rng = np.random.default_rng(77)
@@ -177,23 +187,10 @@ class TestWorkerPoolDeath:
             return schedules
 
         warmup, doomed, recovery = batch("warm"), batch("doom"), batch("recover")
-        engine = NoisyDensityMatrixEngine(device_noise, seed=31)
-        try:
-            gather(engine.submit_batch(warmup, max_workers=2, parallelism="process"))
-            handles = engine._pools.handles()
-            assert len(handles) == 1
-            for pid in list(handles[0].executor._processes):
-                os.kill(pid, signal.SIGKILL)
-            with pytest.raises(BrokenProcessPool):
-                gather(engine.submit_batch(doomed, max_workers=2, parallelism="process"))
-            # The broken pool was retired, not left registered.
-            assert engine._pools.handles() == []
-            recovered = gather(
-                engine.submit_batch(recovery, max_workers=2, parallelism="process")
-            )
-            assert engine._pools.handles() != []
-        finally:
-            engine.close()
+        process_map(_run_or_die, [(device, warmup, False)], 2)
+        with pytest.raises(BrokenProcessPool):
+            process_map(_run_or_die, [(device, warmup, False), (device, doomed, True)], 2)
+        (recovered,) = process_map(_run_or_die, [(device, recovery, False)], 2)
 
         clean_engine = NoisyDensityMatrixEngine(device_noise, seed=31)
         try:
@@ -213,11 +210,11 @@ class _GatedEngine(NoisyDensityMatrixEngine):
         self.gate = threading.Event()
         self.dispatch_started = threading.Event()
 
-    def _dispatch_batch(self, kind, items, kwargs, max_workers, parallelism, chains=None):
+    def _dispatch_batch(self, kind, items, kwargs):
         self.dispatch_started.set()
         if not self.gate.wait(timeout=30):  # pragma: no cover - deadlock guard
             raise RuntimeError("test gate never opened")
-        return super()._dispatch_batch(kind, items, kwargs, max_workers, parallelism, chains)
+        return super()._dispatch_batch(kind, items, kwargs)
 
 
 class TestShutdownFaults:
