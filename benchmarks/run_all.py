@@ -142,32 +142,26 @@ def stable_service_counters(result):
 
 
 def _engine_objective(estimator, hamiltonian):
-    """The window tuner's objective on ``estimator``'s engine: one future per
-    schedule, submitted through the engine's scheduler."""
+    """The window tuner's objective on ``estimator``'s engine: one blocking
+    batch per sweep phase."""
 
     def objective(schedules):
-        return [
-            future.map(lambda result: result.value)
-            for future in estimator.submit_batch(schedules, hamiltonian)
-        ]
+        return [result.value for result in estimator.estimate_batch(schedules, hamiltonian)]
 
     return objective
 
 
 def _h2_tuner_comparison():
-    """Time the H2 window-tuner sweep across every execution tier.
+    """Time the H2 window-tuner sweep with and without the engine's reuse.
 
-    Three legs tune from the same compiled schedule: the legacy *sequential*
-    path (one blocking ``estimate`` call per candidate, no result cache, no
-    prefix reuse — what the pre-engine code did), and the engine path in its
-    *serial* and *process* tiers, where the tuner submits each sweep
-    asynchronously and builds window N+1's candidates while window N's
-    execute (``docs/async.md``).  With ``shots=None`` the tuned energies of
-    all three legs must agree bit for bit (the engine acceptance criterion);
-    only wall-clock may differ.
+    Two legs tune from the same compiled schedule: the legacy *sequential*
+    path (one ``estimate`` call per candidate, no result cache, no prefix
+    reuse — what the pre-engine code did), and the *batched* engine path,
+    one ``estimate_batch`` call per sweep phase with the result cache and
+    prefix reuse on.  With ``shots=None`` the tuned energies of both legs
+    must agree bit for bit (the engine acceptance criterion); only
+    wall-clock may differ.
     """
-    from concurrent.futures import Future
-
     from repro.engine import NoisyDensityMatrixEngine
     from repro.simulators import NoiseModel
     from repro.transpiler import transpile
@@ -202,18 +196,12 @@ def _h2_tuner_comparison():
         else:
 
             def objective(schedules):
-                futures = []
-                for scheduled in schedules:
-                    future = Future()
-                    future.set_result(estimator.estimate(scheduled, hamiltonian).value)
-                    futures.append(future)
-                return futures
+                return [estimator.estimate(s, hamiltonian).value for s in schedules]
 
         tuner = IndependentWindowTuner(objective, budget=budget)
         start = time.perf_counter()
         result = tuner.tune(compiled.scheduled, compiled.idle_windows)
         elapsed = time.perf_counter() - start
-        engine.close()
         return elapsed, result, engine
 
     sequential_s, sequential, _ = tune("sequential")
@@ -243,13 +231,15 @@ def _h2_tuner_comparison():
 
 
 def _concurrent_frontends_leg():
-    """Two estimators sharing one engine, against a blocking reference.
+    """Two submitters sharing one engine, against a blocking reference.
 
     Each frontend owns a *disjoint* family of H2 schedules (different bound
     parameters, so no shared simulated prefix across frontends) and submits
-    it in several batches from its own thread; the engine's scheduler runs
-    them one at a time, round-robin across the two (``docs/scheduler.md``).
-    Values must be bit-identical to a blocking serial reference.
+    it in several ``submit_expectation_batch_full`` batches from its own
+    thread, with its estimator as the ``submitter``; the engine's scheduler
+    runs them one at a time, round-robin across the two
+    (``docs/scheduler.md``).  Values must be bit-identical to a blocking
+    serial reference.
     """
     import threading
 
@@ -308,7 +298,9 @@ def _concurrent_frontends_leg():
                 futures = []
                 for batch in batches[index]:
                     futures.extend(
-                        estimators[index].submit_batch(batch, application.hamiltonian)
+                        engine.submit_expectation_batch_full(
+                            batch, application.hamiltonian, submitter=estimators[index]
+                        )
                     )
                 values[index] = tuple(future.result().value for future in futures)
             except Exception as error:  # pragma: no cover - surfaced via raise below

@@ -10,21 +10,20 @@ backend API — the :class:`~repro.engine.base.ExecutionEngine`:
   and execute noisily on a fake IBM device.
 
 Part 1 below drives the engines directly; part 2 submits work
-*asynchronously* (futures overlap execution with whatever the caller does
-next); part 3 runs the paper's feasible flow (Fig. 11, right), whose
-pipeline routes every machine execution through a shared
-``NoisyDensityMatrixEngine`` — which is what makes the per-window mitigation
-sweeps fast.  The pipeline's window tuner always overlaps each window
-sweep's candidate generation with execution: its one objective,
-``VAQEMPipeline.make_objective()``, returns futures.  With
+*asynchronously*, as two tenants sharing one engine (futures overlap
+execution with whatever the caller does next); part 3 runs the paper's
+feasible flow (Fig. 11, right), whose pipeline routes every machine
+execution through a shared ``NoisyDensityMatrixEngine`` — which is what
+makes the per-window mitigation sweeps fast.  The pipeline's window tuner
+sweeps one window at a time, one blocking engine batch per sweep phase,
+through its one objective, ``VAQEMPipeline.make_objective()``.  With
 ``VAQEMConfig(parallelism="process")`` the pipeline evaluates each strategy
 in a worker process instead, on a fresh engine, with bit-identical outcomes.
 
 The full design is documented in ``docs/architecture.md`` (layers, caching,
 prefix reuse, the process tier), ``docs/async.md`` (the futures-returning
 submission layer), ``docs/scheduler.md`` (the batch scheduler that serves
-independent frontends on a shared engine) and ``docs/api.md`` (the public
-engine API).
+submitters sharing one engine) and ``docs/api.md`` (the public engine API).
 
 Run with::
 
@@ -76,14 +75,13 @@ def async_tour() -> None:
     """Submit an H2 sweep asynchronously, do other work, then gather."""
     import numpy as np
 
-    from repro import NoiseModel, gather
+    from repro import NoiseModel, NoisyDensityMatrixEngine, gather
     from repro.transpiler import transpile
-    from repro.vqe import ExpectationEstimator
 
     application = get_application("UCCSD_H2")
     device = application.device()
-    noise_model = NoiseModel.from_device(device)
-    estimator = ExpectationEstimator(noise_model, seed=7)
+    engine = NoisyDensityMatrixEngine(NoiseModel.from_device(device), seed=7)
+    hamiltonian = application.hamiltonian
 
     # Build a small sweep of bound ansatz circuits around one operating point.
     rng = np.random.default_rng(7)
@@ -96,30 +94,27 @@ def async_tour() -> None:
 
     # Submit: the futures return immediately and the engine's batch
     # scheduler executes behind this thread (docs/async.md).
-    futures = estimator.submit_batch(schedules, application.hamiltonian)
+    futures = engine.submit_expectation_batch_full(schedules, hamiltonian, submitter="alice")
 
     # ... overlap: any work here runs while the sweep executes ...
     reference = sum(point.sum() for point in points)
 
-    results = gather(futures)  # ordered like the submission
-    energies = [result.value for result in results]
+    energies = [data.value for data in gather(futures)]  # ordered like the submission
     print("\nAsync H2 sweep (submit -> overlap -> gather)")
     print(f"  energies        : {', '.join(f'{e:.4f}' for e in energies)}")
     print(f"  overlapped work : parameter checksum {reference:+.3f}")
 
     # Bit-identical to the blocking batch, per the engine seeding contract.
-    blocking = [r.value for r in estimator.estimate_batch(schedules, application.hamiltonian)]
+    blocking = [data.value for data in engine.expectation_batch_full(schedules, hamiltonian)]
     print(f"  async == blocking: {energies == blocking}")
 
-    # Multi-tenant: a second estimator can share the same engine.  Each
-    # submits under its own identity, so the scheduler serves both fairly
-    # (docs/scheduler.md) — values stay bit-identical regardless.
-    second = ExpectationEstimator(noise_model, seed=7, engine=estimator.engine)
-    first_futures = estimator.submit_batch(schedules[:2], application.hamiltonian)
-    second_futures = second.submit_batch(schedules[2:], application.hamiltonian)
-    shared = [r.value for r in gather(first_futures + second_futures)]
-    print(f"  two frontends, one engine: {shared == blocking}")
-    estimator.engine.close()
+    # Multi-tenant: two submitters share the engine, and the scheduler
+    # serves them fairly (docs/scheduler.md) — values stay bit-identical.
+    first = engine.submit_expectation_batch_full(schedules[:2], hamiltonian, submitter="alice")
+    second = engine.submit_expectation_batch_full(schedules[2:], hamiltonian, submitter="bob")
+    shared = [data.value for data in gather(first + second)]
+    print(f"  two tenants, one engine: {shared == blocking}")
+    engine.close()
 
 
 def vaqem_flow() -> None:

@@ -612,11 +612,9 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         seed: Optional[int] = None,
     ):
         """Asynchronous :meth:`expectation_batch_full` (futures resolving to
-        :class:`~repro.engine.base.ExpectationData`); the path
-        :meth:`ExpectationEstimator.submit_batch
-        <repro.vqe.expectation.ExpectationEstimator.submit_batch>` and the
-        pipelined window tuner route through.  ``seed`` behaves as on the
-        blocking :meth:`expectation_batch`."""
+        :class:`~repro.engine.base.ExpectationData`, value plus per-group
+        diagnostics).  ``seed`` behaves as on the blocking
+        :meth:`expectation_batch`."""
         kwargs = {"observable": observable, "shots": shots, "mitigator": mitigator, "seed": seed}
         return self._submit_job("expectation_full", circuits, kwargs, submitter, priority)
 

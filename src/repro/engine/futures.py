@@ -1,14 +1,13 @@
 """Future primitives for the engine layer's asynchronous submission API.
 
 Blocking batch calls (:meth:`~repro.engine.base.ExecutionEngine.run_batch`,
-:meth:`~repro.engine.base.ExecutionEngine.expectation_batch`) make the caller
-wait for the whole batch before it can do anything else — which is exactly
-wrong for sweep frontends like the window tuner, whose candidate *generation*
-could overlap with candidate *execution*.  This module provides
-:class:`EngineFuture`, the ordered handle the ``submit*`` API returns: it
-wraps one in-flight result value, a raised exception, or cancellation, and
-mirrors the :class:`concurrent.futures.Future` surface plus :meth:`map` for
-derived views.
+:meth:`~repro.engine.base.ExecutionEngine.expectation_batch`) run on the
+caller's thread, and every library caller uses them.  Callers that share one
+engine — the service's tenants, or user threads — submit instead and are
+served fairly.  This module provides :class:`EngineFuture`, the ordered
+handle the ``submit*`` API returns: it wraps one in-flight result value, a
+raised exception, or cancellation, and mirrors the
+:class:`concurrent.futures.Future` surface.
 
 Execution of submitted batches is the job of the
 :class:`~repro.engine.scheduler.BatchScheduler` (see
@@ -63,20 +62,16 @@ class EngineFuture:
     Futures are created by the ``submit*`` methods and resolved by the
     engine's scheduler; user code only ever reads them.  The API mirrors
     :class:`concurrent.futures.Future` (``result`` / ``exception`` /
-    ``cancel`` / ``done`` / ``add_done_callback``) plus :meth:`map` for
-    deriving transformed views, and cancellation raises the standard
-    :class:`concurrent.futures.CancelledError`.
+    ``cancel`` / ``done`` / ``add_done_callback``), and cancellation raises
+    the standard :class:`concurrent.futures.CancelledError`.
     """
 
-    def __init__(self, source: Optional["EngineFuture"] = None):
+    def __init__(self):
         self._condition = threading.Condition()
         self._state = _PENDING
         self._result: Any = None
         self._exception: Optional[BaseException] = None
         self._callbacks: List[Callable[["EngineFuture"], None]] = []
-        #: Upstream future this one was :meth:`map`-derived from (cancelling a
-        #: derived future forwards to its source).
-        self._source = source
 
     # ------------------------------------------------------------------
     # State inspection
@@ -144,30 +139,6 @@ class EngineFuture:
                 return
         self._run_callbacks([callback])
 
-    def map(self, transform: Callable[[Any], Any]) -> "EngineFuture":
-        """A derived future resolving to ``transform(result)``.
-
-        Exceptions and cancellation pass through unchanged; a ``transform``
-        that raises resolves the derived future with that exception.
-        Cancelling the derived future forwards to the source future.
-        """
-        derived = EngineFuture(source=self)
-
-        def _chain(resolved: "EngineFuture") -> None:
-            if resolved.cancelled():
-                derived._mark_cancelled()
-                return
-            if resolved._exception is not None:
-                derived._set_exception(resolved._exception)
-                return
-            try:
-                derived._set_result(transform(resolved._result))
-            except BaseException as error:  # noqa: BLE001 - stored, not swallowed
-                derived._set_exception(error)
-
-        self.add_done_callback(_chain)
-        return derived
-
     # ------------------------------------------------------------------
     # Cancellation
     # ------------------------------------------------------------------
@@ -175,15 +146,8 @@ class EngineFuture:
         """Cancel the future if its batch has not started executing.
 
         Returns ``True`` if the future is (now) cancelled, ``False`` once it
-        is running or resolved.  Cancelling a :meth:`map`-derived future
-        forwards to its source, so the underlying batch item is pruned too.
+        is running or resolved.
         """
-        source = self._source
-        if source is not None:
-            return source.cancel()
-        return self._mark_cancelled()
-
-    def _mark_cancelled(self) -> bool:
         with self._condition:
             if self._state == _CANCELLED:
                 return True

@@ -8,12 +8,18 @@ batches serially, in its own process, and the one process tier sits above
 the engines, in ``VAQEMPipeline.run`` (full design in
 ``docs/scheduler.md``).
 
+Library code never submits: the tuner, the VAQEM pipeline, the VQE
+objectives and the shot collector block on the engine's batch calls.  The
+scheduler serves callers that share one engine — the service's tenants and
+user threads.
+
 **Fairness and priority.**  Batches queue per *submitter* (an identity the
-frontends pass; anonymous submissions group by submitting thread) and each
-submitter's batches stay FIFO among themselves.  Across submitters the
-scheduler picks round-robin, so a frontend saturating the queue cannot starve
-one submitting occasionally.  An integer ``priority`` hint (higher first)
-overrides round-robin order between queued batches.
+caller passes, such as the service's tenant; anonymous submissions group by
+submitting thread) and each submitter's batches stay FIFO among themselves.
+Across submitters the scheduler picks round-robin, so a submitter saturating
+the queue cannot starve one submitting occasionally.  An integer
+``priority`` hint (higher first) overrides round-robin order between queued
+batches.
 
 **Determinism.**  The order of batches changes *when* a batch executes,
 never *what* it computes: the content-derived seeding contract
@@ -124,7 +130,7 @@ class BatchScheduler:
         """Queue one batch; returns one future per item, in item order.
 
         Blocks while ``max_pending`` batches are already queued
-        (backpressure).  ``submitter`` identifies the frontend for fairness
+        (backpressure).  ``submitter`` identifies the caller for fairness
         purposes (defaults to the calling thread, so a single caller keeps
         strict FIFO semantics); ``priority`` breaks ties between queued
         batches of different submitters, higher first.
@@ -266,7 +272,7 @@ class BatchScheduler:
                 for queue in self._queues.values():
                     for job in queue:
                         for future in job.futures:
-                            future._mark_cancelled()
+                            future.cancel()
                 self._queues.clear()
                 self._queued = 0
                 return

@@ -16,12 +16,12 @@ returning one value per point, in input order, with every value equal to the
 corresponding single-point call (bit for bit for deterministic or seeded
 objectives).  Optimizers that evaluate several points per step — SPSA's
 ``±c_k·Δ`` pairs are the canonical case — probe for ``evaluate_batch`` and
-submit all of a step's points as one batch, which lets an engine-backed
-objective pipeline them through
-:meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch` and the
-engine's scheduler.  Plain callables fall back to element-wise
-evaluation transparently: :meth:`TrackingObjective.evaluate_batch` performs
-the probe, so optimizers only ever talk to the tracking wrapper.
+evaluate all of a step's points as one batch, which lets an engine-backed
+objective run them through one
+:meth:`~repro.vqe.expectation.ExpectationEstimator.estimate_batch` call.
+Plain callables fall back to element-wise evaluation transparently:
+:meth:`TrackingObjective.evaluate_batch` performs the probe, so optimizers
+only ever talk to the tracking wrapper.
 
 Because the engine derives sampling randomness from content (see the seeding
 contract in :mod:`repro.engine.base`), a batched evaluation returns exactly
@@ -113,7 +113,7 @@ class TrackingObjective:
         """Evaluate many points, batched when the inner objective supports it.
 
         Probes the wrapped objective for the :class:`BatchObjective` protocol
-        and submits the whole batch through it; plain callables are evaluated
+        and passes it the whole batch; plain callables are evaluated
         element-wise in input order.  Either way every evaluation is recorded
         exactly as individual :meth:`__call__`\\ s would have recorded it.
         """

@@ -29,11 +29,11 @@ spread is zero and blocking degenerates to strict descent).
 Batched evaluation
 ------------------
 All of an iteration's ``±c_k·Δ`` points (across every resampling) are
-submitted as **one** batch via
+evaluated as **one** batch via
 :meth:`~repro.optimizers.base.TrackingObjective.evaluate_batch`: an
-engine-backed :class:`~repro.optimizers.base.BatchObjective` pipelines them
-through the engine's scheduler, while plain callables are evaluated
-element-wise in the same order.  Per the engine seeding contract the values
+engine-backed :class:`~repro.optimizers.base.BatchObjective` runs them as
+one engine batch, while plain callables are evaluated element-wise in the
+same order.  Per the engine seeding contract the values
 — and therefore the whole optimization trajectory — are bit-identical either
 way.
 """

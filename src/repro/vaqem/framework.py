@@ -207,19 +207,18 @@ class VAQEMPipeline:
         )
 
     def make_objective(self, use_mem: Optional[bool] = None):
-        """The objective ``[ScheduledCircuit] -> [future of energy]`` on the noisy
+        """The objective ``[ScheduledCircuit] -> [energy]`` on the noisy
         machine: every tuner sweep and strategy evaluation runs through it.
 
-        The schedules queue on the engine's scheduler, which resolves
-        duplicates from its caches and simulates the rest from their deepest
-        common-prefix snapshots.
+        Each call is one blocking batch on the pipeline's engine, which
+        resolves duplicates from its caches and simulates the rest from
+        their deepest common-prefix snapshots.
         """
         estimator = self._make_estimator(use_mem)
         hamiltonian = self.application.hamiltonian
 
-        def objective(schedules: Sequence[ScheduledCircuit]):
-            futures = estimator.submit_batch(schedules, hamiltonian)
-            return [future.map(lambda result: result.value) for future in futures]
+        def objective(schedules: Sequence[ScheduledCircuit]) -> List[float]:
+            return [result.value for result in estimator.estimate_batch(schedules, hamiltonian)]
 
         return objective
 
@@ -227,7 +226,7 @@ class VAQEMPipeline:
     # Strategy evaluation
     # ------------------------------------------------------------------
     def _evaluate_schedule(self, scheduled: ScheduledCircuit, use_mem: bool) -> float:
-        return float(self.make_objective(use_mem)([scheduled])[0].result())
+        return float(self.make_objective(use_mem)([scheduled])[0])
 
     def evaluate_strategy(self, strategy: str) -> StrategyOutcome:
         """Evaluate one of the paper's comparison strategies."""

@@ -9,30 +9,22 @@ single-qubit gates inside idle windows, whose cross-window interactions are
 negligible (§VI-C).
 
 :class:`IndependentWindowTuner` implements exactly that flow against an
-objective that submits schedules and returns one future per schedule
-(``[ScheduledCircuit] -> [future]``; each future resolves to the
-schedule's objective value, lower is better), so it can minimise a VQE
-energy (the VAQEM use-case) or maximise a micro-benchmark fidelity (by
-passing the negated fidelity).  A future is anything with ``.result()``:
-an :class:`~repro.engine.futures.EngineFuture` from
-:meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch`, or an
-already resolved :class:`concurrent.futures.Future` wrapping a sequential
-evaluation.
+objective that evaluates a batch of schedules and returns one value per
+schedule (``[ScheduledCircuit] -> [float]``, lower is better), so it can
+minimise a VQE energy (the VAQEM use-case) or maximise a micro-benchmark
+fidelity (by passing the negated fidelity).
 
-:meth:`IndependentWindowTuner.tune` pipelines the window sweeps: while
-window *N*'s candidates execute on the engine's batch scheduler, the tuner
-builds and submits window *N+1*'s candidates, so candidate generation
-overlaps execution and the engine never sits idle between sweeps.  Each
-sweep is submitted as one batch, so candidates that differ only inside the
-swept window share the simulated prefix.  The engine seeding contract keeps
-the tuned result independent of this overlap.
+Each step of a sweep depends on the one before it — the DD candidates sit
+on the winning gate position — so :meth:`IndependentWindowTuner.tune`
+sweeps one window at a time on the caller's thread.  Each phase of a sweep
+is one objective call, so candidates that differ only inside the swept
+window share the simulated prefix on a batching engine.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +40,9 @@ from ..transpiler.idle_windows import IdleWindow
 from ..transpiler.scheduling import ScheduledCircuit
 from .config import TuningBudget, WindowConfiguration
 
-#: ``[ScheduledCircuit] -> [future]``: one future per schedule, each
-#: resolving to the schedule's objective value (see the module docstring).
-Objective = Callable[[Sequence[ScheduledCircuit]], Sequence]
-
-#: How many windows may have candidate batches in flight at once.  One
-#: window ahead already hides candidate generation entirely; deeper
-#: pipelines only add queue memory.
-PIPELINE_DEPTH = 2
+#: ``[ScheduledCircuit] -> [float]``: one objective value per schedule, in
+#: input order (see the module docstring).
+Objective = Callable[[Sequence[ScheduledCircuit]], Sequence[float]]
 
 
 @dataclass
@@ -99,108 +86,8 @@ class TuningResult:
         }
 
 
-class _PipelinedWindowSweep:
-    """In-flight tuning state of one window: its sweep with all others at baseline.
-
-    When both techniques are enabled they are tuned in a coordinated,
-    sequential manner inside the window: the best gate position is found
-    first, then DD counts are swept on top of that position (the tuner
-    keeps whichever combination minimises the objective, so destructive
-    interactions are weeded out automatically).  That is a data dependency
-    between two phases: the gate-scheduling (GS) candidates are independent
-    of everything, but the DD candidates can only be generated once the GS
-    futures resolved.  This object walks one window through ``submit GS ->
-    resolve GS -> submit DD -> resolve DD`` while the driver keeps other
-    windows' phases in flight around it.
-    """
-
-    def __init__(
-        self,
-        tuner: "IndependentWindowTuner",
-        scheduled: ScheduledCircuit,
-        window: IdleWindow,
-        baseline_value: float,
-    ):
-        self.tuner = tuner
-        self.scheduled = scheduled
-        self.window = window
-        self.record = WindowSweepRecord(window=window)
-        self.record.record(WindowConfiguration(window.index), baseline_value)
-        self._pending: List[Tuple[WindowConfiguration, object]] = []
-        self._dd_submitted = False
-
-    def submit_first(self) -> None:
-        """Build and submit the window's first phase.
-
-        Normally that is the GS sweep; when GS tuning is off (or the window
-        has no movable gate) the DD candidates have no dependency to wait
-        for, so they are submitted eagerly — a DD-only tuner pipelines
-        exactly as well as a combined one.
-        """
-        tuner = self.tuner
-        if tuner.tune_gate_scheduling and movable_gate(self.scheduled, self.window) is not None:
-            # Every position is evaluated, including 1.0: the movable gate may
-            # originally sit either after the window (ALAP, where 1.0 is a
-            # near-duplicate of the baseline) or before it (where 1.0 is a
-            # genuinely new placement at the window end).
-            configs = [GSConfig(position=position) for position in tuner._gs_candidates()]
-            schedules = [reschedule_gate(self.scheduled, self.window, c) for c in configs]
-            futures = tuner._submit_candidates(schedules)
-            self._pending = [
-                (WindowConfiguration(self.window.index, gs=config), future)
-                for config, future in zip(configs, futures)
-            ]
-        else:
-            self._dd_submitted = True
-            self._submit_dd(None)
-
-    def resolve_next(self) -> bool:
-        """Resolve the in-flight phase; returns ``True`` once the window is done.
-
-        Resolving the GS phase submits the DD phase (whose candidates depend
-        on the GS winner), so a ``False`` return means freshly-queued work.
-        """
-        for candidate, future in self._pending:
-            self.record.record(candidate, float(future.result()))
-        self._pending = []
-        if not self._dd_submitted:
-            self._dd_submitted = True
-            best_gs: Optional[GSConfig] = None
-            if self.record.best is not None and self.record.best.gs is not None:
-                best_gs = self.record.best.gs
-            self._submit_dd(best_gs)
-            return not self._pending
-        return True
-
-    def _submit_dd(self, best_gs: Optional[GSConfig]) -> None:
-        tuner = self.tuner
-        if not tuner.tune_dd:
-            return
-        # Sweep DD counts on top of the best gate position and also on the
-        # untouched (ALAP) position: the two techniques can interact, and the
-        # coordinated tuning keeps whichever combination wins (including
-        # "DD only" and "GS only").
-        bases = [(None, self.scheduled)]
-        if best_gs is not None:
-            bases.append((best_gs, reschedule_gate(self.scheduled, self.window, best_gs)))
-        candidates: List[WindowConfiguration] = []
-        schedules: List[ScheduledCircuit] = []
-        for gs_config, base_schedule in bases:
-            for count in tuner._dd_candidates(self.window, self.scheduled):
-                if count == 0:
-                    continue  # baseline already recorded
-                dd_config = DDConfig(tuner.dd_sequence, count)
-                candidates.append(
-                    WindowConfiguration(self.window.index, dd=dd_config, gs=gs_config)
-                )
-                schedules.append(insert_dd_sequences(base_schedule, self.window, dd_config))
-        if candidates:
-            futures = tuner._submit_candidates(schedules)
-            self._pending = list(zip(candidates, futures))
-
-
 class IndependentWindowTuner:
-    """Tunes DD and/or GS per idle window against a futures-returning objective."""
+    """Tunes DD and/or GS per idle window against a batch objective."""
 
     def __init__(
         self,
@@ -220,18 +107,13 @@ class IndependentWindowTuner:
         self._evaluations = 0
 
     # ------------------------------------------------------------------
-    def _submit_candidates(self, schedules: List[ScheduledCircuit]) -> List:
-        """Submit a sweep's candidates, counting each submission as one
-        evaluation (futures always resolve or raise)."""
+    def _evaluate(self, schedules: List[ScheduledCircuit]) -> List[float]:
+        """Evaluate a batch of candidates, counting each as one evaluation."""
         self._evaluations += len(schedules)
-        futures = list(self.objective(schedules))
-        if len(futures) != len(schedules):
-            raise VAQEMError("objective returned a mismatched number of futures")
-        return futures
-
-    def _evaluate_one(self, scheduled: ScheduledCircuit) -> float:
-        """One blocking evaluation: the baseline or a greedy re-validation."""
-        return float(self._submit_candidates([scheduled])[0].result())
+        values = [float(value) for value in self.objective(schedules)]
+        if len(values) != len(schedules):
+            raise VAQEMError("objective returned a mismatched number of values")
+        return values
 
     def _dd_candidates(self, window: IdleWindow, scheduled: ScheduledCircuit) -> List[int]:
         """DD sequence counts to sweep for a window (always includes 0)."""
@@ -272,8 +154,11 @@ class IndependentWindowTuner:
         helps.
         """
         self._evaluations = 0
-        baseline_value = self._evaluate_one(scheduled)
-        records = self._sweep_windows(scheduled, self._select_windows(windows), baseline_value)
+        baseline_value = self._evaluate([scheduled])[0]
+        records = [
+            self._sweep_window(scheduled, window, baseline_value)
+            for window in self._select_windows(windows)
+        ]
 
         improving = [
             r
@@ -289,7 +174,7 @@ class IndependentWindowTuner:
             candidate_configs = dict(accepted)
             candidate_configs[record.window.index] = record.best
             candidate_schedule = self.apply_configurations(scheduled, windows, candidate_configs)
-            candidate_value = self._evaluate_one(candidate_schedule)
+            candidate_value = self._evaluate([candidate_schedule])[0]
             if candidate_value < tuned_value:
                 accepted = candidate_configs
                 combined = candidate_schedule
@@ -303,40 +188,51 @@ class IndependentWindowTuner:
         )
 
     # ------------------------------------------------------------------
-    def _sweep_windows(
-        self,
-        scheduled: ScheduledCircuit,
-        windows: Sequence[IdleWindow],
-        baseline_value: float,
-    ) -> List[WindowSweepRecord]:
-        """Producer/consumer sweep over the selected windows.
+    def _sweep_window(
+        self, scheduled: ScheduledCircuit, window: IdleWindow, baseline_value: float
+    ) -> WindowSweepRecord:
+        """Sweep one window with every other window at baseline.
 
-        Up to :data:`PIPELINE_DEPTH` windows have candidate batches queued on
-        the objective at once: while the engine's scheduler executes the
-        front window's batch, this thread builds (reschedules, inserts DD
-        into) and submits the following windows' candidates.  Sweep records
-        are collected in window order regardless of completion order.
-        (On a shared engine the tuner's own batches stay FIFO — one
-        submitter — and deep prefix sharing with its base schedule
-        additionally serializes them against lookalike work, while *other*
-        frontends' disjoint batches overlap freely; see
-        ``docs/scheduler.md``.)
+        When both techniques are enabled they are tuned in a coordinated,
+        sequential manner inside the window: the best gate position is
+        found first, then DD counts are swept on top of that position and
+        on the untouched (ALAP) one.  The techniques can interact, so the
+        record keeps whichever combination minimises the objective
+        (including "DD only" and "GS only"), weeding destructive
+        interactions out automatically.
         """
-        remaining = deque(windows)
-        in_flight: "deque[_PipelinedWindowSweep]" = deque()
-        records: List[WindowSweepRecord] = []
-        while remaining or in_flight:
-            while remaining and len(in_flight) < PIPELINE_DEPTH:
-                sweep = _PipelinedWindowSweep(self, scheduled, remaining.popleft(), baseline_value)
-                sweep.submit_first()
-                in_flight.append(sweep)
-            sweep = in_flight[0]
-            if sweep.resolve_next():
-                records.append(sweep.record)
-                in_flight.popleft()
-            # A False resolve_next() just queued the window's DD batch; loop
-            # around so the pipeline tops up behind it before blocking again.
-        return records
+        record = WindowSweepRecord(window=window)
+        record.record(WindowConfiguration(window.index), baseline_value)
+        best_gs: Optional[GSConfig] = None
+        if self.tune_gate_scheduling and movable_gate(scheduled, window) is not None:
+            # Every position is evaluated, including 1.0: the movable gate may
+            # originally sit either after the window (ALAP, where 1.0 is a
+            # near-duplicate of the baseline) or before it (where 1.0 is a
+            # genuinely new placement at the window end).
+            configs = [GSConfig(position=position) for position in self._gs_candidates()]
+            schedules = [reschedule_gate(scheduled, window, config) for config in configs]
+            for config, value in zip(configs, self._evaluate(schedules)):
+                record.record(WindowConfiguration(window.index, gs=config), value)
+            if record.best is not None:
+                best_gs = record.best.gs
+        if not self.tune_dd:
+            return record
+        bases = [(None, scheduled)]
+        if best_gs is not None:
+            bases.append((best_gs, reschedule_gate(scheduled, window, best_gs)))
+        candidates: List[WindowConfiguration] = []
+        schedules = []
+        for gs_config, base_schedule in bases:
+            for count in self._dd_candidates(window, scheduled):
+                if count == 0:
+                    continue  # baseline already recorded
+                dd_config = DDConfig(self.dd_sequence, count)
+                candidates.append(WindowConfiguration(window.index, dd=dd_config, gs=gs_config))
+                schedules.append(insert_dd_sequences(base_schedule, window, dd_config))
+        if candidates:
+            for candidate, value in zip(candidates, self._evaluate(schedules)):
+                record.record(candidate, value)
+        return record
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -14,11 +14,11 @@ The estimator mirrors how a machine measures a VQE objective:
 Execution is routed through a
 :class:`~repro.engine.density_engine.NoisyDensityMatrixEngine`, so a single
 noisy execution of the ansatz body is shared by all measurement groups *and*
-by every estimator call that submits content-identical schedules — plus, via
-the engine's prefix-reuse fast path, partially shared by near-identical
+by every estimator call on content-identical schedules — plus, via the
+engine's prefix-reuse fast path, partially shared by near-identical
 schedules such as the window tuner's per-window candidates.
-:meth:`ExpectationEstimator.estimate_batch` exposes the batched path
-directly.
+:meth:`ExpectationEstimator.estimate_batch` is the batched path every
+library caller blocks on.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from ..engine.base import ExpectationData
 from ..engine.density_engine import NoisyDensityMatrixEngine, measure_pauli_sum
-from ..engine.futures import EngineFuture
 from ..exceptions import VQEError
 from ..mitigation.mem import MeasurementMitigator
 from ..operators.pauli import PauliSum
@@ -73,10 +72,7 @@ class ExpectationEstimator:
         The execution engine to route runs through.  By default a private
         :class:`NoisyDensityMatrixEngine` is created; inject a shared engine
         to pool caches across estimators (as :class:`~repro.vaqem.framework.
-        VAQEMPipeline` does).  A shared engine is also the multi-tenant
-        story: each estimator submits under its own identity, so the
-        engine's scheduler serves independent estimators' batches fairly (see
-        ``docs/scheduler.md``).
+        VAQEMPipeline` does).
     """
 
     def __init__(
@@ -131,60 +127,17 @@ class ExpectationEstimator:
         across repeated invocations.  With ``shots=None`` (exact mode) the
         values equal sequential :meth:`estimate` calls bit for bit.
 
-        ``shots`` / ``seed`` override the
-        estimator's configured shot count and the content-derived sampling
-        seed *for this batch only* — the adaptive shot collector uses both to
-        give every collection round its own budget and independent
-        randomness (an engine-cached sampled value is otherwise bit-identical
-        on repeat calls).
+        ``shots`` / ``seed`` override the estimator's configured shot count
+        and the content-derived sampling seed *for this batch only* — the
+        adaptive shot collector uses both to give every collection round its
+        own budget and independent randomness (an engine-cached sampled
+        value is otherwise bit-identical on repeat calls).
         """
+        effective = self.shots if shots is _DEFAULT_SHOTS else shots
         data = self.engine.expectation_batch_full(
-            schedules,
-            hamiltonian,
-            shots=self.shots if shots is _DEFAULT_SHOTS else shots,
-            mitigator=self.mitigator,
-            seed=seed,
+            schedules, hamiltonian, shots=effective, mitigator=self.mitigator, seed=seed
         )
-        effective = self.shots if shots is _DEFAULT_SHOTS else shots
         return [self._to_result(item, effective) for item in data]
-
-    def submit_batch(
-        self,
-        schedules: Sequence[ScheduledCircuit],
-        hamiltonian: PauliSum,
-        priority: int = 0,
-        shots=_DEFAULT_SHOTS,
-        seed: Optional[int] = None,
-    ) -> List["EngineFuture"]:
-        """Asynchronous :meth:`estimate_batch`: one future per schedule.
-
-        The futures resolve to :class:`ExpectationResult` objects and are
-        ordered like the input.  Execution goes through the engine's
-        persistent scheduler (see ``docs/scheduler.md``) with *this
-        estimator* as the submitter: several estimators sharing one engine
-        are served round-robin, while this estimator's own batches stay FIFO.
-        ``priority`` (higher first) nudges the scheduler between queued
-        batches of different submitters.  ``shots`` / ``seed`` override the
-        configured shot count and sampling seed for this batch, as on
-        :meth:`estimate_batch`.  The resolved values are bit-identical to a
-        blocking :meth:`estimate_batch` call; the caller can keep building
-        further schedules while these execute — the pipelined window tuner
-        and the adaptive shot collector do exactly that.
-        """
-        effective = self.shots if shots is _DEFAULT_SHOTS else shots
-        futures = self.engine.submit_expectation_batch_full(
-            schedules,
-            hamiltonian,
-            shots=effective,
-            mitigator=self.mitigator,
-            submitter=self,
-            priority=priority,
-            seed=seed,
-        )
-        return [
-            future.map(lambda data, shots=effective: self._to_result(data, shots))
-            for future in futures
-        ]
 
     def _to_result(self, data: ExpectationData, shots=_DEFAULT_SHOTS) -> ExpectationResult:
         return ExpectationResult(

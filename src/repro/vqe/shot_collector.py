@@ -19,13 +19,12 @@ estimates them *while collecting*, in the style of Cirq's
 3. collection stops when the budget is exhausted or the estimated standard
    error of ``<H>`` reaches ``target_stderr``.
 
-Every round is submitted through
-:meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch` — one
-submission per measurement group, all in flight together — so rounds stream
-through the engine's scheduler and the ansatz execution is engine-cached
-across all groups and rounds (the noisy evolution runs **once**; only the
-measurement/sampling stage repeats).  Each (round, group) submission carries
-its own seed derived via :func:`repro.engine.fingerprint.derive_seed`, which
+Every round makes one blocking
+:meth:`~repro.vqe.expectation.ExpectationEstimator.estimate_batch` call per
+measurement group, and the ansatz execution is engine-cached across all
+groups and rounds (the noisy evolution runs **once**; only the
+measurement/sampling stage repeats).  Each (round, group) call carries its
+own seed derived via :func:`repro.engine.fingerprint.derive_seed`, which
 keeps rounds statistically independent *and* the whole collection
 bit-reproducible: without an explicit per-call seed, a seeded engine would
 serve every repeated round the identical cached sample.
@@ -74,7 +73,7 @@ class CollectionResult:
     stderr: float
     shots_used: int
     rounds: int
-    #: One executed measurement circuit per (round, group) submission with a
+    #: One executed measurement circuit per (round, group) call with a
     #: non-zero allocation — the convergence-cost metric, not wall-clock.
     circuits_executed: int
     groups: List[GroupEstimate] = field(default_factory=list)
@@ -173,8 +172,6 @@ class AdaptiveShotCollector:
     seed:
         Base seed for the per-(round, group) sampling seeds.  Defaults to the
         estimator engine's seed (or 0), keeping collection reproducible.
-    priority:
-        Slot-scheduler priority for the submitted rounds.
     """
 
     def __init__(
@@ -186,7 +183,6 @@ class AdaptiveShotCollector:
         round_shots: Optional[int] = None,
         target_stderr: Optional[float] = None,
         seed: Optional[int] = None,
-        priority: int = 0,
     ):
         if total_shots < 1:
             raise VQEError("total_shots must be at least 1")
@@ -208,7 +204,6 @@ class AdaptiveShotCollector:
         if seed is None:
             seed = getattr(estimator.engine, "seed", None)
         self.seed = 0 if seed is None else int(seed)
-        self.priority = int(priority)
         #: One single-group observable per measurement group; the estimator
         #: measures each with its own shot count and seed.
         self._observables = []
@@ -243,26 +238,17 @@ class AdaptiveShotCollector:
                 allocations = allocate_shots(
                     budget, [np.sqrt(e.variance) for e in estimates]
                 )
-            # One submission per group with a non-zero allocation, all in
-            # flight together: the round streams through the scheduler,
-            # and the schedule body is engine-cached after the first group.
-            submitted = []
+            # One call per group with a non-zero allocation; the schedule
+            # body is engine-cached after the first group.
             for group_index, shots in enumerate(allocations):
                 if shots == 0:
                     continue
                 seed = derive_seed(
                     self.seed, "shot-collector", str(round_index), str(group_index)
                 )
-                futures = self.estimator.submit_batch(
-                    [self.scheduled],
-                    self._observables[group_index],
-                    shots=shots,
-                    seed=seed,
-                    priority=self.priority,
+                (result,) = self.estimator.estimate_batch(
+                    [self.scheduled], self._observables[group_index], shots=shots, seed=seed
                 )
-                submitted.append((group_index, shots, futures[0]))
-            for group_index, shots, future in submitted:
-                result = future.result()
                 value, variance = group_distribution_moments(
                     result.distributions[0],
                     self.groups[group_index],

@@ -28,8 +28,8 @@ from ..simulators.statevector import StatevectorProgram
 from ..transpiler.pipeline import TranspileResult, transpile
 from .expectation import ExpectationEstimator
 
-#: Points per submitted batch when a trajectory is replayed: one chunk keeps
-#: the engine busy while the next is bound (and transpiled).
+#: Points per blocking batch when a trajectory is replayed: each chunk is
+#: bound (and transpiled) and evaluated before the next is built.
 TRAJECTORY_CHUNK = 4
 
 
@@ -177,14 +177,13 @@ class VQE:
         """A :class:`~repro.optimizers.base.BatchObjective` on the noisy backend.
 
         Like :meth:`noisy_objective_factory` but batch-capable: every point of
-        a batch is transpiled and the resulting schedules are submitted as one
-        :meth:`~repro.vqe.expectation.ExpectationEstimator.submit_batch` call,
-        so simulation of early points overlaps transpilation-free dispatch of
-        the rest through the engine's scheduler.  Sampling randomness
-        follows the *content-derived* engine seeding contract (not the
-        estimator's stateful generator), so single-point calls and batches
-        agree bit for bit; with ``shots=None`` the
-        values also equal the serial :meth:`noisy_objective_factory` path.
+        a batch is transpiled and the resulting schedules are evaluated in one
+        :meth:`~repro.vqe.expectation.ExpectationEstimator.estimate_batch`
+        call, so they share the engine's caches and prefix snapshots.
+        Sampling randomness follows the *content-derived* engine seeding
+        contract (not the estimator's stateful generator), so single-point
+        calls and batches agree bit for bit; with ``shots=None`` the values
+        also equal the serial :meth:`noisy_objective_factory` path.
         """
         if noise_model is None and engine is not None:
             noise_model = engine.noise_model
@@ -206,26 +205,16 @@ class VQE:
     def evaluate_trajectory_ideal(self, parameter_history: Sequence[np.ndarray]) -> List[float]:
         """Ideal objective along a parameter trajectory (Fig. 8 top panel).
 
-        The trajectory is submitted in chunks of :data:`TRAJECTORY_CHUNK`
-        points through the engine's asynchronous
-        :meth:`~repro.engine.base.ExecutionEngine.submit_expectation_batch`,
-        so binding later points overlaps evolving earlier ones.  Values equal
-        per-point :meth:`ideal_objective` calls bit for bit.
+        The trajectory is evaluated in blocking
+        :meth:`~repro.engine.base.ExecutionEngine.expectation_batch` calls of
+        :data:`TRAJECTORY_CHUNK` points.  Values equal per-point
+        :meth:`ideal_objective` calls bit for bit.
         """
-        futures: List = []
-        chunk: List[QuantumCircuit] = []
-        for parameters in parameter_history:
-            chunk.append(self.bind(parameters))
-            if len(chunk) >= TRAJECTORY_CHUNK:
-                futures.extend(
-                    self.engine.submit_expectation_batch(chunk, self.hamiltonian, submitter=self)
-                )
-                chunk = []
-        if chunk:
-            futures.extend(
-                self.engine.submit_expectation_batch(chunk, self.hamiltonian, submitter=self)
-            )
-        return [float(future.result()) for future in futures]
+        values: List[float] = []
+        for start in range(0, len(parameter_history), TRAJECTORY_CHUNK):
+            chunk = [self.bind(p) for p in parameter_history[start : start + TRAJECTORY_CHUNK]]
+            values.extend(float(v) for v in self.engine.expectation_batch(chunk, self.hamiltonian))
+        return values
 
     def evaluate_trajectory_noisy(
         self,
@@ -237,45 +226,40 @@ class VQE:
     ) -> List[float]:
         """Noisy objective along a parameter trajectory (Fig. 8 bottom panel).
 
-        The replay is *pipelined* through the engine's asynchronous submit
-        API: schedules are submitted in chunks as they come out of the
-        transpiler, so transpilation of later points overlaps the noisy
-        simulation of earlier ones on a shared
-        :class:`NoisyDensityMatrixEngine`.  Repeated parameter vectors still
-        cost one simulation; with ``shots=None`` (and, per the seeding
-        contract, with a seed and finite shots too) the values are
-        bit-identical to the historical blocking batch.
+        The trajectory is transpiled and evaluated in blocking
+        :meth:`~repro.vqe.expectation.ExpectationEstimator.estimate_batch`
+        calls of :data:`TRAJECTORY_CHUNK` points on one shared
+        :class:`NoisyDensityMatrixEngine`, so repeated parameter vectors
+        cost one simulation.  Per the seeding contract the chunk boundaries
+        cannot change any value.
         """
         noise_model = noise_model or NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(noise_model, seed=self.seed)
         estimator: Optional[ExpectationEstimator] = None
-        futures: List = []
-        chunk: List = []
-        # The chunk boundaries cannot change any value.
-        for parameters in parameter_history:
-            circuit = self.bind(parameters)
-            circuit.measure_all()
-            result = transpile(circuit, device)
+        values: List[float] = []
+        for start in range(0, len(parameter_history), TRAJECTORY_CHUNK):
+            chunk = []
+            for parameters in parameter_history[start : start + TRAJECTORY_CHUNK]:
+                circuit = self.bind(parameters)
+                circuit.measure_all()
+                chunk.append(transpile(circuit, device).scheduled)
             if estimator is None:
                 mitigator: Optional[MeasurementMitigator] = None
                 if use_mem:
                     # Identical for every point: the ansatz (and therefore the
                     # measured layout) does not change along a trajectory.
-                    measured = result.scheduled.measured_positions()
+                    measured = chunk[0].measured_positions()
                     ordered = [pos for pos, _ in sorted(measured, key=lambda pair: pair[1])]
                     mitigator = MeasurementMitigator.from_device(
-                        device, [result.scheduled.physical_qubit(pos) for pos in ordered]
+                        device, [chunk[0].physical_qubit(pos) for pos in ordered]
                     )
                 estimator = ExpectationEstimator(
                     noise_model, shots=shots, mitigator=mitigator, seed=self.seed, engine=engine
                 )
-            chunk.append(result.scheduled)
-            if len(chunk) >= TRAJECTORY_CHUNK:
-                futures.extend(estimator.submit_batch(chunk, self.hamiltonian))
-                chunk = []
-        if chunk:
-            futures.extend(estimator.submit_batch(chunk, self.hamiltonian))
-        return [float(future.result().value) for future in futures]
+            values.extend(
+                float(r.value) for r in estimator.estimate_batch(chunk, self.hamiltonian)
+            )
+        return values
 
     @staticmethod
     def _to_vqe_result(result: OptimizationResult, mode: str) -> VQEResult:
@@ -362,5 +346,6 @@ class _NoisyBatchObjective:
             schedules.append(result.scheduled)
         if estimator is None:
             return []
-        futures = estimator.submit_batch(schedules, self._vqe.hamiltonian)
-        return [float(future.result().value) for future in futures]
+        return [
+            float(r.value) for r in estimator.estimate_batch(schedules, self._vqe.hamiltonian)
+        ]

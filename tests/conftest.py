@@ -8,7 +8,6 @@ exercised once in the integration tests with reduced tuning budgets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -72,28 +71,17 @@ def scheduled_su2_4q(device):
     return transpile(bound, device)
 
 
-def _resolved(values):
-    """One already resolved :class:`concurrent.futures.Future` per value."""
-    futures = []
-    for value in values:
-        future = Future()
-        future.set_result(value)
-        futures.append(future)
-    return futures
-
-
 @pytest.fixture(scope="session")
 def sequential_objective():
     """The window tuner's sequential reference objective.
 
     ``sequential_objective(estimator, hamiltonian)`` evaluates each schedule
-    with a blocking :meth:`ExpectationEstimator.estimate` call and hands the
-    value back in an already resolved :class:`concurrent.futures.Future`.
+    with its own :meth:`ExpectationEstimator.estimate` call.
     """
 
     def make(estimator, hamiltonian):
         def objective(schedules):
-            return _resolved(estimator.estimate(s, hamiltonian).value for s in schedules)
+            return [estimator.estimate(s, hamiltonian).value for s in schedules]
 
         return objective
 
@@ -105,13 +93,12 @@ def blocking_batch_objective():
     """The window tuner fed by the estimator's blocking batch path.
 
     ``blocking_batch_objective(estimator, hamiltonian)`` evaluates each
-    candidate batch with one blocking :meth:`ExpectationEstimator.estimate_batch`
-    call and hands the values back in already resolved futures.
+    candidate batch with one :meth:`ExpectationEstimator.estimate_batch` call.
     """
 
     def make(estimator, hamiltonian):
         def objective(schedules):
-            return _resolved(r.value for r in estimator.estimate_batch(schedules, hamiltonian))
+            return [r.value for r in estimator.estimate_batch(schedules, hamiltonian)]
 
         return objective
 

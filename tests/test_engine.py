@@ -8,8 +8,8 @@ Covers the engine parity guarantees the architecture promises:
 * the seeding contract (content-derived sampling randomness),
 * the gate-matrix cache and the deterministic-counts satellite features,
 * the engine-backed frontends (estimator batch path, window tuner batch
-  sweeps); the window tuner's pipelined engine futures are checked in
-  ``tests/test_futures.py``.
+  sweeps); that no library caller starts its engine's scheduler is checked
+  in ``tests/test_futures.py``.
 """
 
 from __future__ import annotations
@@ -321,9 +321,7 @@ class TestEstimatorAndTunerBatchPaths:
             estimator = ExpectationEstimator(device_noise, seed=9)
             make_objective = blocking_batch_objective if batched else sequential_objective
             tuner = IndependentWindowTuner(make_objective(estimator, tfim4), budget=budget)
-            outcome = tuner.tune(compiled.scheduled, compiled.idle_windows)
-            estimator.engine.close()
-            return outcome
+            return tuner.tune(compiled.scheduled, compiled.idle_windows)
 
         sequential = tuned(batched=False)
         batched = tuned(batched=True)

@@ -10,13 +10,14 @@ Covers the guarantees ``docs/async.md`` promises:
 * cancellation — futures of not-yet-started batches cancel (and are pruned
   from their batch), running/resolved futures refuse;
 * stats/cache merge correctness with two batches in flight on one engine;
-* the pipelined window tuner — identical tuning outcome, including the
-  per-window candidate/value traces, versus the sequential reference
-  (already resolved futures over ``ExpectationEstimator.estimate``) and,
-  at pipeline depths 1, 2 and 4, versus the blocking batch path (already
-  resolved futures over ``ExpectationEstimator.estimate_batch``);
+* the window tuner on the estimator's batch path — identical tuning
+  outcome, including the per-window candidate/value traces, versus the
+  sequential reference (one ``ExpectationEstimator.estimate`` per schedule);
 * scheduler lifecycle — close() drains pending batches, engines are
-  reusable afterwards.
+  reusable afterwards;
+* library callers — the VAQEM pipeline, the VQE trajectory replays and
+  batch objective and the adaptive shot collector block on the batch path
+  and never start their engine's scheduler.
 
 The scheduler's own policies (one batch at a time, fairness, priority) are
 covered in ``tests/test_scheduler.py``.
@@ -47,7 +48,7 @@ from repro.mitigation import DDConfig, insert_dd_sequences
 from repro.mitigation.gate_scheduling import GSConfig, reschedule_gate
 from repro.simulators import NoiseModel
 from repro.transpiler import transpile
-from repro.vaqem import IndependentWindowTuner, TuningBudget, window_tuner
+from repro.vaqem import IndependentWindowTuner, TuningBudget
 from repro.vqe import ExpectationEstimator
 
 MODES = ("serial", "process")
@@ -121,25 +122,6 @@ class TestEngineFuture:
         future = EngineFuture()
         with pytest.raises(EngineError):
             future.result(timeout=0.01)
-
-    def test_map_transforms_and_chains_errors(self):
-        future = EngineFuture()
-        doubled = future.map(lambda v: 2 * v)
-        future._set_result(21)
-        assert doubled.result() == 42
-        failing = EngineFuture()
-        mapped = failing.map(lambda v: v)
-        failing._set_exception(KeyError("missing"))
-        assert isinstance(mapped.exception(), KeyError)
-        bad_transform = EngineFuture().map(lambda v: 1 / v)
-        bad_transform._source._set_result(0)
-        assert isinstance(bad_transform.exception(), ZeroDivisionError)
-
-    def test_cancel_of_mapped_future_forwards_to_source(self):
-        source = EngineFuture()
-        mapped = source.map(lambda v: v)
-        assert mapped.cancel()
-        assert source.cancelled() and mapped.cancelled()
 
     def test_add_done_callback_fires_immediately_when_done(self):
         future = EngineFuture()
@@ -369,7 +351,7 @@ class TestAsyncParity:
 
 
 # ----------------------------------------------------------------------------
-# The pipelined window tuner
+# The window tuner on the engine's batch path
 # ----------------------------------------------------------------------------
 
 class TestPipelinedTuner:
@@ -382,28 +364,26 @@ class TestPipelinedTuner:
         sweep_schedules,
         tfim4,
         sequential_objective,
+        blocking_batch_objective,
         tune_gate_scheduling,
         dd_resolution,
     ):
-        """Engine futures, pipelined over the engine's scheduler, tune exactly
-        as sequential ``estimate`` calls do.  Without a GS phase the DD
-        candidates submit eagerly; the outcome must still match."""
+        """One engine batch per sweep phase tunes exactly as sequential
+        ``estimate`` calls do, with and without a GS phase."""
         compiled, _ = sweep_schedules
         budget = TuningBudget(dd_resolution=dd_resolution, gs_resolution=2, max_windows=3)
         outcomes = {}
-        for protocol in ("sequential", "engine"):
+        for protocol, make_objective in (
+            ("sequential", sequential_objective),
+            ("engine", blocking_batch_objective),
+        ):
             estimator = ExpectationEstimator(device_noise, seed=9)
-            objective = {
-                "sequential": sequential_objective(estimator, tfim4),
-                "engine": lambda ss: [
-                    future.map(lambda r: r.value) for future in estimator.submit_batch(ss, tfim4)
-                ],
-            }[protocol]
             tuner = IndependentWindowTuner(
-                objective, tune_gate_scheduling=tune_gate_scheduling, budget=budget
+                make_objective(estimator, tfim4),
+                tune_gate_scheduling=tune_gate_scheduling,
+                budget=budget,
             )
             outcomes[protocol] = tuner.tune(compiled.scheduled, compiled.idle_windows)
-            estimator.engine.close()
         engine, sequential = outcomes["engine"], outcomes["sequential"]
         assert engine.baseline_value == sequential.baseline_value
         assert engine.tuned_value == sequential.tuned_value
@@ -417,43 +397,6 @@ class TestPipelinedTuner:
             assert engine_record.candidates == sequential_record.candidates
             assert engine_record.values == sequential_record.values
 
-    @pytest.mark.parametrize("depth", (1, 2, 4))
-    def test_pipelined_tuner_matches_blocking(
-        self,
-        device_noise,
-        sweep_schedules,
-        tfim4,
-        blocking_batch_objective,
-        monkeypatch,
-        depth,
-    ):
-        """At any pipeline depth, engine futures resolved out of submission
-        order tune exactly as the estimator's blocking batch path does."""
-        monkeypatch.setattr(window_tuner, "PIPELINE_DEPTH", depth)
-        compiled, _ = sweep_schedules
-        budget = TuningBudget(dd_resolution=2, gs_resolution=2, max_windows=3)
-        outcomes = {}
-        for protocol in ("blocking", "pipelined"):
-            estimator = ExpectationEstimator(device_noise, seed=9)
-            objective = {
-                "blocking": blocking_batch_objective(estimator, tfim4),
-                "pipelined": lambda ss: [
-                    future.map(lambda r: r.value) for future in estimator.submit_batch(ss, tfim4)
-                ],
-            }[protocol]
-            tuner = IndependentWindowTuner(objective, budget=budget)
-            outcomes[protocol] = tuner.tune(compiled.scheduled, compiled.idle_windows)
-            estimator.engine.close()
-        pipelined, blocking = outcomes["pipelined"], outcomes["blocking"]
-        assert pipelined.baseline_value == blocking.baseline_value
-        assert pipelined.tuned_value == blocking.tuned_value
-        assert pipelined.num_evaluations == blocking.num_evaluations
-        assert pipelined.chosen_configurations() == blocking.chosen_configurations()
-        for pipe_record, block_record in zip(pipelined.window_records, blocking.window_records):
-            assert pipe_record.window.index == block_record.window.index
-            assert pipe_record.candidates == block_record.candidates
-            assert pipe_record.values == block_record.values
-
 
 # ----------------------------------------------------------------------------
 # Frontend async routing
@@ -463,13 +406,20 @@ class TestFrontendAsyncRouting:
     def test_estimator_submit_batch_matches_estimate_batch(
         self, device_noise, sweep_schedules, tfim4
     ):
+        """The engine's async full-diagnostics path equals its blocking one."""
         _, schedules = sweep_schedules
-        estimator = ExpectationEstimator(device_noise, seed=9)
-        blocking = [r.value for r in estimator.estimate_batch(schedules, tfim4)]
-        async_results = gather(estimator.submit_batch(schedules, tfim4))
-        assert [r.value for r in async_results] == blocking
-        assert all(r.shots_per_group is None for r in async_results)
-        estimator.engine.close()
+        blocking = NoisyDensityMatrixEngine(device_noise, seed=9).expectation_batch_full(
+            schedules, tfim4
+        )
+        engine = NoisyDensityMatrixEngine(device_noise, seed=9)
+        submitted = gather(engine.submit_expectation_batch_full(schedules, tfim4, submitter="a"))
+        engine.close()
+        assert [d.value for d in submitted] == [d.value for d in blocking]
+        for async_data, blocking_data in zip(submitted, blocking):
+            assert list(async_data.group_values) == list(blocking_data.group_values)
+            assert len(async_data.distributions) == len(blocking_data.distributions)
+            for a, b in zip(async_data.distributions, blocking_data.distributions):
+                assert np.array_equal(a, b)
 
     def test_vqe_trajectories_pipeline_bit_identical(self, device, device_noise, tfim4):
         from repro.vqe import VQE
@@ -480,10 +430,67 @@ class TestFrontendAsyncRouting:
         points = [rng.uniform(-0.5, 0.5, ansatz.num_parameters) for _ in range(5)]
         ideal = vqe.evaluate_trajectory_ideal(points)
         assert ideal == [vqe.ideal_objective(p) for p in points]
-        # Chunked async submission equals the trajectory replayed in two
-        # parts, bit for bit: chunk boundaries cannot change a value.
+        # The chunked replay equals the trajectory replayed in two parts,
+        # bit for bit: chunk boundaries cannot change a value.
         noisy_default = vqe.evaluate_trajectory_noisy(points, device)
         noisy_split = vqe.evaluate_trajectory_noisy(
             points[:2], device
         ) + vqe.evaluate_trajectory_noisy(points[2:], device)
         assert noisy_default == noisy_split
+
+
+# ----------------------------------------------------------------------------
+# Library callers block on the engine's batch path
+# ----------------------------------------------------------------------------
+
+class TestLibraryCallersBlock:
+    """No library caller submits to its own engine's scheduler: each blocks
+    on the batch path, so none of these runs may create one."""
+
+    @pytest.fixture(autouse=True)
+    def no_scheduler(self, monkeypatch):
+        from repro.engine.base import ExecutionEngine
+
+        def refuse(engine):
+            raise AssertionError(f"{engine.name} engine started a scheduler")
+
+        monkeypatch.setattr(ExecutionEngine, "_ensure_scheduler", refuse)
+
+    def test_vaqem_pipeline_run(self):
+        from repro.vaqem import VAQEMConfig, VAQEMPipeline
+        from repro.vqe import get_application
+
+        config = VAQEMConfig(budget=TuningBudget(2, 2, 2), angle_tuning_iterations=20)
+        result = VAQEMPipeline(get_application("UCCSD_H2"), config).run()
+        assert result.tuning_results
+
+    @pytest.fixture
+    def vqe_points(self, tfim4):
+        from repro.vqe import VQE
+
+        ansatz = efficient_su2(4, reps=1, entanglement="linear")
+        rng = np.random.default_rng(4)
+        points = [rng.uniform(-0.5, 0.5, ansatz.num_parameters) for _ in range(5)]
+        return VQE(ansatz, tfim4, seed=4), points
+
+    def test_vqe_trajectory_ideal(self, vqe_points):
+        vqe, points = vqe_points
+        assert len(vqe.evaluate_trajectory_ideal(points)) == 5
+
+    def test_vqe_trajectory_noisy(self, device, vqe_points):
+        vqe, points = vqe_points
+        assert len(vqe.evaluate_trajectory_noisy(points, device)) == 5
+
+    def test_noisy_batch_objective(self, device, vqe_points):
+        vqe, points = vqe_points
+        objective = vqe.noisy_batch_objective_factory(device, shots=256, use_mem=True)
+        assert len(objective.evaluate_batch(points[:2])) == 2
+
+    def test_adaptive_shot_collector(self, device_noise, tfim4, scheduled_su2_4q):
+        from repro.vqe import AdaptiveShotCollector
+
+        estimator = ExpectationEstimator(device_noise, seed=3)
+        collector = AdaptiveShotCollector(
+            estimator, scheduled_su2_4q.scheduled, tfim4, total_shots=512, round_shots=256
+        )
+        assert collector.collect().shots_used == 512

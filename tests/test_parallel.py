@@ -448,10 +448,7 @@ def _estimates(device, schedules, hamiltonian):
 def _tune(device, compiled, hamiltonian, budget):
     estimator = ExpectationEstimator(NoiseModel.from_device(device), seed=9)
     tuner = IndependentWindowTuner(
-        objective=lambda ss: [
-            future.map(lambda r: r.value)
-            for future in estimator.submit_batch(ss, hamiltonian)
-        ],
+        objective=lambda ss: [r.value for r in estimator.estimate_batch(ss, hamiltonian)],
         budget=budget,
     )
     return tuner.tune(compiled.scheduled, compiled.idle_windows)

@@ -81,8 +81,8 @@ def _run_sweep(
 ):
     """One window-tuner sweep on a fresh engine; returns ``(result, stats)``.
 
-    ``caller_threads=N`` replaces the scheduler with ``N`` caller threads:
-    each candidate batch fans out over them as one blocking single-item
+    Each candidate batch is one ``estimate_batch`` call.  ``caller_threads=N``
+    instead fans each batch out over ``N`` caller threads as one single-item
     ``estimate_batch`` call per candidate, all into the same engine.
     """
     noise_model = NoiseModel.from_device(device)
@@ -96,10 +96,7 @@ def _run_sweep(
     hamiltonian = application.hamiltonian
     if caller_threads is None:
         def objective(schedules):
-            return [
-                future.map(lambda r: r.value)
-                for future in estimator.submit_batch(schedules, hamiltonian)
-            ]
+            return [r.value for r in estimator.estimate_batch(schedules, hamiltonian)]
     else:
         pool = ThreadPoolExecutor(max_workers=caller_threads)
 
@@ -107,13 +104,12 @@ def _run_sweep(
             return estimator.estimate_batch([scheduled], hamiltonian)[0].value
 
         def objective(schedules):
-            return [pool.submit(evaluate, scheduled) for scheduled in schedules]
+            return list(pool.map(evaluate, schedules))
 
     tuner = IndependentWindowTuner(objective=objective, budget=TuningBudget(**budget))
     result = tuner.tune(compiled.scheduled, compiled.idle_windows)
     if caller_threads is not None:
         pool.shutdown()
-    engine.close()
     return result, engine.stats
 
 

@@ -292,10 +292,7 @@ def overlapping_workloads(device):
 # ----------------------------------------------------------------------------
 
 def _run_frontends_concurrently(engine, workloads, hamiltonian):
-    """Each workload runs on its own thread through its own estimator."""
-    estimators = [
-        ExpectationEstimator(engine.noise_model, seed=9, engine=engine) for _ in workloads
-    ]
+    """Each workload runs on its own thread, submitting as its own tenant."""
     results: dict = {}
     errors: list = []
 
@@ -303,8 +300,12 @@ def _run_frontends_concurrently(engine, workloads, hamiltonian):
         try:
             futures = []
             for schedules in workloads[index]:
-                futures.extend(estimators[index].submit_batch(schedules, hamiltonian))
-            results[index] = [r.value for r in gather(futures)]
+                futures.extend(
+                    engine.submit_expectation_batch_full(
+                        schedules, hamiltonian, submitter=f"tenant-{index}"
+                    )
+                )
+            results[index] = [data.value for data in gather(futures)]
         except Exception as error:  # pragma: no cover - surfaced below
             errors.append(error)
 
