@@ -161,6 +161,11 @@ def _h2_tuner_comparison():
     prefix reuse on.  With ``shots=None`` the tuned energies of both legs
     must agree bit for bit (the engine acceptance criterion); only
     wall-clock may differ.
+
+    Each leg runs once untimed, so neither pays the process's first-call
+    costs; then three alternating repeats per leg, each on a fresh engine
+    and noise model, give the in-process medians the seconds and the
+    speedup report.  The energies must match on every repeat.
     """
     from repro.engine import NoisyDensityMatrixEngine
     from repro.simulators import NoiseModel
@@ -204,20 +209,32 @@ def _h2_tuner_comparison():
         elapsed = time.perf_counter() - start
         return elapsed, result, engine
 
-    sequential_s, sequential, _ = tune("sequential")
-    serial_s, serial, engine = tune("serial")
+    legs = ("sequential", "batched")
+    for leg in legs:
+        tune(leg)
+    runs = {leg: [] for leg in legs}
+    for _ in range(3):
+        for leg in legs:
+            runs[leg].append(tune(leg))
+    sequential_s = float(np.median([run[0] for run in runs["sequential"]]))
+    batched_s = float(np.median([run[0] for run in runs["batched"]]))
+    sequential = runs["sequential"][-1][1]
+    _, batched, engine = runs["batched"][-1]
     return {
         "sequential_seconds": sequential_s,
-        "batched_seconds": serial_s,
-        "speedup": sequential_s / serial_s if serial_s else float("inf"),
+        "batched_seconds": batched_s,
+        "speedup": sequential_s / batched_s if batched_s else float("inf"),
         "tuned_energy_sequential": sequential.tuned_value,
-        "tuned_energy_batched": serial.tuned_value,
-        "energies_exact_match": sequential.tuned_value == serial.tuned_value,
-        "num_evaluations": serial.num_evaluations,
+        "tuned_energy_batched": batched.tuned_value,
+        "energies_exact_match": all(
+            a[1].tuned_value == b[1].tuned_value
+            for a, b in zip(runs["sequential"], runs["batched"])
+        ),
+        "num_evaluations": batched.num_evaluations,
         "engine_stats": engine.stats.as_dict(),
         # The headline reuse number (tracked by tests/test_reuse_regression.py).
         "reuse_fraction": engine.stats.reuse_fraction,
-        # Segment-cache replay counters for the serial leg
+        # Segment-cache replay counters for the batched leg
         # (docs/segment_reuse.md): hits are whole fusion-stride blocks served
         # from the content-keyed kernel cache instead of re-walking their
         # instructions.  Segments run on the PTM kernel only, so these are
@@ -333,7 +350,6 @@ def _concurrent_frontends_leg():
         )
         for family in families
     )
-    reference_engine.close()
 
     return {
         "num_frontends": len(families),
@@ -372,7 +388,6 @@ def _randomized_reuse_leg():
             engine.run(scheduled)
     elapsed = time.perf_counter() - start
     stats = engine.stats.as_dict()
-    engine.close()
     return {
         "seeds": seeds,
         "num_families": len(families),
@@ -392,7 +407,7 @@ def _ptm_kernel_comparison():
     with the fuzz suites (the exact seeds ``_randomized_reuse_leg`` uses).
     Both kernels run with the same engine seed; the leg records wall-clock
     per kernel, the PTM backend's fused-kernel counters
-    (``ptm_matmuls`` / ``instructions_fused`` / ``batch_width``), the number
+    (``ptm_matmuls`` / ``instructions_fused``), the number
     of tensor contractions the dense backend spends on the same op streams
     (:func:`repro.simulators.ptm.dense_contraction_count` — the acceptance
     bar is ``ptm_matmuls`` strictly below it), and the largest energy
@@ -419,7 +434,7 @@ def _ptm_kernel_comparison():
     budget = TuningBudget(dd_resolution=4, gs_resolution=4, max_windows=10)
 
     def tune(kernel: str):
-        # Same seed and inputs as the serial leg of the H2 comparison; only
+        # Same seed and inputs as the batched leg of the H2 comparison; only
         # the kernel differs (fresh noise model per leg, as ever).
         noise_model = NoiseModel.from_device(device)
         engine = NoisyDensityMatrixEngine(noise_model, seed=11, kernel=kernel)
@@ -431,7 +446,6 @@ def _ptm_kernel_comparison():
         result = tuner.tune(compiled.scheduled, compiled.idle_windows)
         elapsed = time.perf_counter() - start
         stats = engine.stats.as_dict()
-        engine.close()
         return elapsed, result, stats
 
     dense_seconds, dense_tuned, dense_stats = tune("dense")
@@ -454,7 +468,6 @@ def _ptm_kernel_comparison():
         values = engine.expectation_batch(schedules, observable)
         elapsed = time.perf_counter() - start
         stats = engine.stats.as_dict()
-        engine.close()
         return elapsed, values, stats
 
     family_dense_seconds, family_dense_values, _ = run_families("dense")
@@ -478,7 +491,6 @@ def _ptm_kernel_comparison():
             "num_evaluations": ptm_tuned.num_evaluations,
             "ptm_matmuls": ptm_stats["ptm_matmuls"],
             "instructions_fused": ptm_stats["instructions_fused"],
-            "batch_width": ptm_stats["batch_width"],
             "dense_engine_stats": dense_stats,
         },
         "randomized_families": {
@@ -494,7 +506,6 @@ def _ptm_kernel_comparison():
             "max_energy_delta": max_family_delta,
             "ptm_matmuls": family_ptm_stats["ptm_matmuls"],
             "instructions_fused": family_ptm_stats["instructions_fused"],
-            "batch_width": family_ptm_stats["batch_width"],
             "dense_contractions": dense_contractions,
             # The acceptance criterion: fused kernels strictly undercut the
             # dense backend's per-instruction contraction count.
@@ -657,7 +668,6 @@ def _segment_reuse_leg():
         result = tuner.tune(compiled.scheduled, compiled.idle_windows)
         elapsed = time.perf_counter() - start
         stats = engine.stats.as_dict()
-        engine.close()
         return elapsed, result, stats
 
     on_seconds, on_result, on_stats = tune(True)
@@ -689,7 +699,6 @@ def _segment_reuse_leg():
         ]
         elapsed = time.perf_counter() - start
         stats = engine.stats.as_dict()
-        engine.close()
         return elapsed, probabilities, stats
 
     fam_on_seconds, fam_on_probs, fam_on_stats = run_families(True)
@@ -798,7 +807,6 @@ def _spsa_convergence_leg():
             device, noise_model=noise_model, shots=None, engine=engine
         )
         exact_values = exact_objective.evaluate_batch(objective.points)
-        engine.close()
         return result, exact_values, elapsed
 
     # Gains tuned for the SU2/H2 landscape (Spall's schedules with a larger
@@ -839,7 +847,6 @@ def _spsa_convergence_leg():
     qaoa_exact_final = qaoa_vqe.noisy_batch_objective_factory(
         device, noise_model=qaoa_noise, shots=None, engine=qaoa_engine
     ).evaluate_batch([qaoa_result.optimal_parameters])[0]
-    qaoa_engine.close()
 
     return {
         "workload": "H2_efficient_su2",
@@ -937,7 +944,6 @@ def _adaptive_shots_leg():
     adaptive_runs = [collect(None, 100 + index) for index in range(repeats)]
     uniform_runs = [collect(budget, 100 + index) for index in range(repeats)]
     elapsed = time.perf_counter() - start
-    engine.close()
 
     adaptive_error = float(np.mean([abs(run.value - exact) for run in adaptive_runs]))
     uniform_error = float(np.mean([abs(run.value - exact) for run in uniform_runs]))
@@ -1082,8 +1088,7 @@ def main() -> None:
             f"[run_all] ptm kernel families ({families['num_schedules']} schedules): "
             f"{families['ptm_matmuls']} fused kernels vs "
             f"{families['dense_contractions']} dense contractions "
-            f"({families['instructions_fused']} ops fused, batch width "
-            f"{families['batch_width']}, max energy delta "
+            f"({families['instructions_fused']} ops fused, max energy delta "
             f"{families['max_energy_delta']:.2e})"
         )
 

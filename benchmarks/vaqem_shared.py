@@ -102,20 +102,17 @@ _RATIO_FIELDS = ("hit_rate", "reuse_fraction")
 def collected_engine_stats() -> Dict[str, float]:
     """Execution-engine counters aggregated across every cached pipeline run.
 
-    Counter fields stay integers in the output (``batch_width`` is a
-    high-water mark, so it max-merges exactly as
-    :meth:`~repro.engine.base.EngineStats.add_counters` does); the derived
-    ``hit_rate`` / ``reuse_fraction`` ratios are recomputed from the totals.
+    Counter fields stay integers in the output, summed as
+    :meth:`~repro.engine.base.EngineStats.add_counters` sums them; the
+    derived ``hit_rate`` / ``reuse_fraction`` ratios are recomputed from the
+    totals.
     """
     totals: Dict[str, float] = {}
     for result in _RUN_CACHE.values():
         for field, value in result.engine_stats.items():
             if field in _RATIO_FIELDS:
                 continue
-            if field == "batch_width":
-                totals[field] = max(totals.get(field, 0), int(value))
-            else:
-                totals[field] = totals.get(field, 0) + int(value)
+            totals[field] = totals.get(field, 0) + int(value)
     executions = totals.get("executions", 0)
     simulated = totals.get("instructions_simulated", 0)
     reused = totals.get("instructions_reused", 0)

@@ -10,9 +10,7 @@ agree on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from ..exceptions import ReproError
 from ..metrics.fidelity import geometric_mean

@@ -19,7 +19,7 @@ Two "views" of a device are important for reproducing the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np

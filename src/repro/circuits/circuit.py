@@ -8,7 +8,6 @@ transpiler converts it to a DAG when data-flow analysis is required.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 

@@ -22,7 +22,7 @@ from typing import Dict, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import CircuitError, ParameterError
-from .parameter import Parameter, ParameterExpression, bind_value, free_parameters
+from .parameter import ParameterExpression, bind_value, free_parameters
 
 ParamValue = Union[int, float, ParameterExpression]
 

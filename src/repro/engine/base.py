@@ -101,13 +101,11 @@ class EngineStats:
     transpile_cache_hits: int = 0
     transpile_cache_misses: int = 0
     #: PTM-kernel counters (zero on the dense kernel): fused kernel
-    #: applications during schedule evolution, op applications absorbed into
-    #: an already-open fused run, and the widest row count driven through one
-    #: batched measurement kernel.  All three are deterministic for a given
+    #: applications during schedule evolution, and op applications absorbed
+    #: into an already-open fused run.  Both are deterministic for a given
     #: serial workload, making the kernel win auditable without timing.
     ptm_matmuls: int = 0
     instructions_fused: int = 0
-    batch_width: int = 0
     #: Segment-cache counters (see ``docs/segment_reuse.md``; zero on the
     #: dense kernel, like ``ptm_matmuls``): replays of a cached segment's
     #: fused kernels, and first-time compilations that populated the cache.
@@ -139,11 +137,7 @@ class EngineStats:
         the pipeline engine's.  Unknown keys are ignored."""
         for name, value in delta.items():
             if hasattr(self, name) and not isinstance(getattr(type(self), name, None), property):
-                if name == "batch_width":
-                    # A high-water mark, not a running total.
-                    setattr(self, name, max(getattr(self, name), value))
-                else:
-                    setattr(self, name, getattr(self, name) + value)
+                setattr(self, name, getattr(self, name) + value)
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -161,7 +155,6 @@ class EngineStats:
             "transpile_cache_misses": self.transpile_cache_misses,
             "ptm_matmuls": self.ptm_matmuls,
             "instructions_fused": self.instructions_fused,
-            "batch_width": self.batch_width,
             "segment_hits": self.segment_hits,
             "segment_misses": self.segment_misses,
             "segment_hit_rate": self.segment_hit_rate,
@@ -194,6 +187,13 @@ class ExpectationData:
     value: float
     group_values: List[float]
     distributions: List[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distributions plus 8 per float value (the size the
+        expectation caches count)."""
+        floats = 1 + len(self.group_values)
+        return 8 * floats + sum(int(d.nbytes) for d in self.distributions)
 
 
 class ExecutionEngine(abc.ABC):
@@ -369,22 +369,7 @@ class ExecutionEngine(abc.ABC):
         """Execute one batch on the calling thread (blocking calls and the
         scheduler thread both end here)."""
         items = [self._resolve_program(item) for item in items]
-        fast = self._batch_fast_path(kind, items, kwargs)
-        if fast is not None:
-            return fast
         return [self._serial_call(kind, item, kwargs) for item in items]
-
-    def _batch_fast_path(
-        self, kind: str, items: Sequence, kwargs: Dict[str, Any]
-    ) -> Optional[List]:
-        """Optional whole-batch execution of a batch.
-
-        Called by :meth:`_dispatch_batch`; returning a result list (input
-        order) replaces the per-item loop, returning ``None`` falls back to
-        it.  Implementations must be *value-identical* to the per-item path —
-        same numbers, same cache and stats side effects.
-        """
-        return None
 
     def _serial_call(self, kind: str, item, kwargs: Dict[str, Any]):
         """Execute one batch item on the calling thread (subclasses extend it
@@ -442,6 +427,12 @@ class ExecutionEngine(abc.ABC):
 
     def clear_caches(self) -> None:
         """Drop all cached results (stats are kept; reset via :meth:`reset_stats`)."""
+
+    def cache_report(self) -> Dict[str, Dict[str, int]]:
+        """Each of the engine's caches by name, as
+        :meth:`repro.cache.LRUCache.as_dict` reports it (capacity, entries,
+        size, evictions)."""
+        return {}
 
     def reset_stats(self) -> None:
         self.stats = EngineStats()

@@ -33,11 +33,11 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cache import LRUCache
 from ..circuits.gates import Gate
 from ..exceptions import EngineError
 from ..operators.pauli import MeasurementGroup, PauliSum
@@ -49,7 +49,7 @@ from ..simulators.noisy_simulator import (
     ScheduleContext,
     state_measured_probabilities,
 )
-from ..simulators.ptm import PauliVectorState, PTMEvolver, unitary_ptm
+from ..simulators.ptm import PauliVectorState, PTMEvolver
 from ..simulators.readout import (
     apply_readout_error,
     counts_to_probabilities,
@@ -65,68 +65,10 @@ from .fingerprint import (
 )
 from .segments import SegmentCache, SegmentRuntime, schedule_segment_keys
 
-
-class _ByteBudgetStore:
-    """LRU store evicting by total byte footprint rather than entry count.
-
-    Small (few-qubit) states keep near-perfect coverage while 10-qubit
-    problems degrade gracefully instead of pinning gigabytes.  A budget of 0
-    stores nothing; values larger than the whole budget are not stored.
-    """
-
-    def __init__(self, budget_bytes: int):
-        self.budget_bytes = int(budget_bytes)
-        self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
-        self._bytes = 0
-
-    def get(self, key: str):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def put(self, key: str, value, nbytes: int) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        if nbytes > self.budget_bytes:
-            return
-        self._entries[key] = (value, nbytes)
-        self._bytes += nbytes
-        while self._bytes > self.budget_bytes and self._entries:
-            _, (_, evicted_bytes) = self._entries.popitem(last=False)
-            self._bytes -= evicted_bytes
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-
-
-class _LRUCache:
-    """A small thread-unsafe LRU dict (callers hold the engine lock)."""
-
-    def __init__(self, max_entries: int):
-        self.max_entries = int(max_entries)
-        self._entries: "OrderedDict" = OrderedDict()
-
-    def get(self, key):
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
+#: Byte budget of the prefix snapshots (sized by each cursor's ``nbytes``).
+SNAPSHOT_CACHE_BYTES = 64 << 20
+#: Byte budget of the expectation cache (sized by ``ExpectationData.nbytes``).
+EXPECTATION_CACHE_BYTES = 8 << 20
 
 
 class NoisyDensityMatrixEngine(ExecutionEngine):
@@ -144,8 +86,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         noise_model: NoiseModel,
         seed: Optional[int] = None,
         result_cache_bytes: int = 256 << 20,
-        expectation_cache_entries: int = 2048,
-        snapshot_budget_bytes: int = 64 << 20,
         enable_prefix_reuse: bool = True,
         kernel: Optional[str] = None,
         enable_segment_reuse: bool = True,
@@ -154,9 +94,9 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         self.noise_model = noise_model
         #: Simulation kernel: ``"dense"`` (complex density matrix, one
         #: contraction per operator) or ``"ptm"`` (real Pauli-transfer-matrix
-        #: vectors with fused channel kernels and batched measurement — see
-        #: ``docs/ptm.md``).  ``None`` reads ``REPRO_ENGINE_KERNEL`` from the
-        #: environment (default ``"dense"``).  The two kernels agree to float
+        #: vectors with fused channel kernels — see ``docs/ptm.md``).
+        #: ``None`` reads ``REPRO_ENGINE_KERNEL`` from the environment
+        #: (default ``"dense"``).  The two kernels agree to float
         #: tolerance (<= 1e-9 on energies/probabilities), and each is
         #: bit-reproducible with itself in any process; the kernel therefore
         #: salts every cache key via :meth:`_noise_key`.
@@ -175,9 +115,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         #: :meth:`_noise_key`.  The dense kernel reuses prefixes only, and
         #: ignores this flag.
         self.enable_segment_reuse = bool(enable_segment_reuse)
-        self.result_cache_bytes = int(result_cache_bytes)
-        self.expectation_cache_entries = int(expectation_cache_entries)
-        self.snapshot_budget_bytes = int(snapshot_budget_bytes)
         self._simulator = NoisySimulator(noise_model)
         #: The evolution backend behind the cursor API (`begin`/`advance`):
         #: the dense simulator itself, or the PTM evolver wrapping an
@@ -193,15 +130,17 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 self._segments = SegmentCache()
         else:
             self._backend = self._simulator
-        self._results = _ByteBudgetStore(result_cache_bytes)
-        self._expectations = _LRUCache(expectation_cache_entries)
-        self._snapshots = _ByteBudgetStore(snapshot_budget_bytes)
+        #: End-of-schedule states by fingerprint, sized by the state array's
+        #: bytes; ``result_cache_bytes=0`` stores none.
+        self._results = LRUCache(result_cache_bytes)
+        self._expectations = LRUCache(EXPECTATION_CACHE_BYTES)
+        self._snapshots = LRUCache(SNAPSHOT_CACHE_BYTES)
         #: Per-object memo of prepared ``(context, chain)`` pairs: one
         #: schedule object is hashed several times per execution (the
-        #: expectation cache-first path, the PTM batch path, the service's
-        #: store key), and re-preparing it each time is pure overhead.  Entries
-        #: are keyed by ``id`` with a weak reference for eviction (schedules
-        #: are treated as immutable, like device models) and salted with the
+        #: expectation cache-first path, the service's store key), and
+        #: re-preparing it each time is pure overhead.  Entries are keyed
+        #: by ``id`` with a weak reference for eviction (schedules are
+        #: treated as immutable, like device models) and salted with the
         #: noise key so post-construction flag toggles recompute.
         self._chain_memo: Dict[int, Tuple] = {}
         self._lock = threading.RLock()
@@ -296,7 +235,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         if num_instructions == 0 or state_bytes <= 0:
             interval = 1
         else:
-            per_run_budget = max(self._snapshots.budget_bytes // 4, state_bytes)
+            per_run_budget = max(self._snapshots.capacity // 4, state_bytes)
             interval = max(
                 1, int(np.ceil(num_instructions * state_bytes / per_run_budget))
             )
@@ -371,11 +310,10 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                     if wanted:
                         # Copy outside the lock — an O(4^n) state copy would
                         # otherwise serialize every concurrent caller.  A
-                        # racing duplicate put is harmless (put is a no-op on
-                        # existing keys) and both copies are bit-identical.
+                        # racing duplicate put is harmless (put keeps the
+                        # stored value) and both copies are bit-identical.
                         snapshot = cursor.copy()
-                        with self._lock:
-                            self._snapshots.put(chain[depth], snapshot, snapshot.nbytes)
+                        self._snapshots.put(chain[depth], snapshot, snapshot.nbytes)
         else:
             self._backend.advance(scheduled, cursor, context, **extra)
         with self._lock:
@@ -392,7 +330,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
                 # as reused, like prefix-resumed instructions.
                 self.stats.instructions_reused += cursor.segment_instructions
                 self.stats.instructions_simulated -= cursor.segment_instructions
-            self._results.put(fingerprint, cursor.state, int(cursor.state.data.nbytes))
+            self._results.put(fingerprint, cursor.state, cursor.state.data.nbytes)
         return cursor.state, fingerprint, False
 
     def density_matrix(self, scheduled: ScheduledCircuit) -> DensityMatrix:
@@ -543,8 +481,7 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             shots=shots, mitigator=mitigator, rng=rng,
         )
         if cacheable:
-            with self._lock:
-                self._expectations.put(key, data)
+            self._expectations.put(key, data, data.nbytes)
         return data
 
     def expectation_batch(
@@ -619,165 +556,6 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
         return self._submit_job("expectation_full", circuits, kwargs, submitter, priority)
 
     # ------------------------------------------------------------------
-    # Whole-batch PTM fast path
-    # ------------------------------------------------------------------
-    def _batch_fast_path(self, kind: str, items, kwargs):
-        """Expectation batches on the PTM kernel run whole-batch.
-
-        Per-item schedule evolution stays on the fused-kernel path (each
-        item's op stream is its own), but the measurement stage — identical
-        basis rotations, marginalisation and Walsh-Hadamard transform for
-        every candidate of a sweep — executes once on a stacked
-        ``(batch, 4**n)`` Pauli-vector array.  Batched kernels are
-        elementwise along the batch axis, so every number (and every cache
-        and stats side effect) is identical to the per-item path.
-        """
-        if self.kernel != "ptm" or kind not in ("expectation", "expectation_full"):
-            return None
-        if len(items) < 2:
-            return None
-        data = self._expectation_batch_ptm(
-            items, kwargs["observable"], kwargs["shots"], kwargs.get("mitigator"),
-            kwargs.get("seed"),
-        )
-        if data is None:
-            return None
-        if kind == "expectation":
-            return [entry.value for entry in data]
-        return data
-
-    def _expectation_batch_ptm(
-        self,
-        items: Sequence[ScheduledCircuit],
-        observable: PauliSum,
-        shots: Optional[int],
-        mitigator,
-        seed: Optional[int] = None,
-    ) -> Optional[List[ExpectationData]]:
-        num_logical = observable.num_qubits
-        prepared = []
-        mappings = []
-        for item in items:
-            measured = item.measured_positions()
-            clbit_to_position = {clbit: pos for pos, clbit in measured}
-            if any(q not in clbit_to_position for q in range(num_logical)):
-                # Let the per-item path raise its usual VQEError.
-                return None
-            prepared.append(self._chain(item))
-            mappings.append(clbit_to_position)
-
-        cacheable = self._expectation_cacheable(shots, seed)
-        keys = [
-            self._expectation_key(prep[1][-1], observable, shots, mitigator, seed)
-            for prep in prepared
-        ]
-        results: List[Optional[ExpectationData]] = [None] * len(items)
-        pending: List[int] = []
-        duplicates: List[int] = []
-        first_for_key: Dict[Tuple, int] = {}
-        for index, key in enumerate(keys):
-            if cacheable:
-                with self._lock:
-                    self.stats.expectation_calls += 1
-                    cached = self._expectations.get(key)
-                if cached is not None:
-                    with self._lock:
-                        self.stats.expectation_cache_hits += 1
-                    results[index] = cached
-                    continue
-                if key in first_for_key:
-                    # Within-batch repeat: the per-item path would hit the
-                    # cache the first computation fills.
-                    duplicates.append(index)
-                    continue
-                first_for_key[key] = index
-            else:
-                # Unseeded sampling: every repeat draws fresh entropy, so
-                # nothing dedupes.
-                with self._lock:
-                    self.stats.expectation_calls += 1
-            pending.append(index)
-
-        if pending:
-            self._measure_pending_batched(
-                items, prepared, mappings, keys, pending, results,
-                observable, shots, mitigator, cacheable, seed,
-            )
-        for index in duplicates:
-            with self._lock:
-                self.stats.expectation_cache_hits += 1
-            results[index] = results[first_for_key[keys[index]]]
-        return results
-
-    def _measure_pending_batched(
-        self, items, prepared, mappings, keys, pending, results,
-        observable: PauliSum, shots, mitigator, cacheable: bool,
-        seed: Optional[int] = None,
-    ) -> None:
-        """Compute the not-yet-cached rows of an expectation batch, batching
-        the measurement stage across rows with equal (size, positions)."""
-        states: Dict[int, PauliVectorState] = {}
-        for index in pending:
-            state, _, _ = self._state_for(items[index], prepared=prepared[index])
-            states[index] = state
-        num_logical = observable.num_qubits
-        buckets: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        for index in pending:
-            positions = tuple(mappings[index][q] for q in range(num_logical))
-            buckets.setdefault((states[index].num_qubits, positions), []).append(index)
-        rngs = {}
-        if shots is not None:
-            for index in pending:
-                rngs[index] = self._sampling_rng(
-                    seed, "expectation", *map(str, keys[index][:4])
-                )
-        h_matrix = Gate("h", 1).matrix()
-        y_matrix = h_matrix @ Gate("sdg", 1).matrix()
-        totals = {index: observable.identity_coefficient() for index in pending}
-        group_values = {index: [] for index in pending}
-        distributions = {index: [] for index in pending}
-        width = 0
-        for group in observable.group_commuting():
-            for (_, positions), bucket in buckets.items():
-                stacked = PauliVectorState.stack([states[i] for i in bucket])
-                width = max(width, stacked.batch)
-                for logical in range(num_logical):
-                    factor = group.basis[logical]
-                    if factor == "X":
-                        stacked.apply_ptm(unitary_ptm(h_matrix), (positions[logical],))
-                    elif factor == "Y":
-                        stacked.apply_ptm(unitary_ptm(y_matrix), (positions[logical],))
-                marginals = stacked.batch_marginal_probabilities(positions)
-                for row, index in enumerate(bucket):
-                    probabilities = marginals[row]
-                    confusions = [
-                        self.noise_model.readout_confusion(items[index].physical_qubit(pos))
-                        for pos in positions
-                    ]
-                    probabilities = apply_readout_error(probabilities, confusions)
-                    if shots is not None:
-                        counts = probabilities_to_counts(probabilities, shots, rng=rngs[index])
-                        probabilities = counts_to_probabilities(counts, num_bits=num_logical)
-                    if mitigator is not None:
-                        probabilities = mitigator.mitigate_probabilities(probabilities)
-                    value = distribution_expectation(probabilities, group, num_logical)
-                    totals[index] += value
-                    group_values[index].append(value)
-                    distributions[index].append(probabilities)
-        for index in pending:
-            data = ExpectationData(
-                value=float(totals[index]),
-                group_values=group_values[index],
-                distributions=distributions[index],
-            )
-            results[index] = data
-            if cacheable:
-                with self._lock:
-                    self._expectations.put(keys[index], data)
-        with self._lock:
-            self.stats.batch_width = max(self.stats.batch_width, width)
-
-    # ------------------------------------------------------------------
     def _serial_call(self, kind: str, item, kwargs):
         if kind == "run":
             return self.run(item)
@@ -803,7 +581,18 @@ class NoisyDensityMatrixEngine(ExecutionEngine):
             self._expectations.clear()
             self._snapshots.clear()
             if self._segments is not None:
-                self._segments.clear()
+                self._segments.records.clear()
+
+    def cache_report(self) -> Dict[str, Dict[str, int]]:
+        report = {
+            "results": self._results.as_dict(),
+            "snapshots": self._snapshots.as_dict(),
+            "expectations": self._expectations.as_dict(),
+            "channels": self.noise_model.channel_cache.as_dict(),
+        }
+        if self._segments is not None:
+            report["segments"] = self._segments.records.as_dict()
+        return report
 
 
 # ----------------------------------------------------------------------------

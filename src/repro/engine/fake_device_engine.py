@@ -16,14 +16,19 @@ from typing import Dict, Optional, Sequence, Union
 
 from ..backends.device import DeviceModel
 from ..backends.fake import get_device
+from ..cache import LRUCache
 from ..circuits.circuit import QuantumCircuit
 from ..operators.pauli import PauliSum
 from ..simulators.noise_model import NoiseModel
 from ..simulators.readout import probabilities_to_counts
 from ..transpiler.pipeline import TranspileResult, transpile
 from .base import EngineResult, ExecutionEngine
-from .density_engine import _LRUCache, NoisyDensityMatrixEngine
+from .density_engine import NoisyDensityMatrixEngine
 from .fingerprint import circuit_fingerprint, circuit_hash_chain
+
+#: Entry bound of the transpile cache (a result is an object graph, so each
+#: entry counts one).
+TRANSPILE_CACHE_ENTRIES = 256
 
 #: Sentinel distinguishing "use the engine's configured shots" from an
 #: explicit ``shots=None`` (exact infinite-shot) request.
@@ -43,7 +48,6 @@ class FakeDeviceEngine(ExecutionEngine):
         shots: int = 4096,
         physical_qubits: Optional[Sequence[int]] = None,
         scheduling_policy: str = "alap",
-        transpile_cache_entries: int = 256,
         kernel: Optional[str] = None,
     ):
         super().__init__(seed=seed)
@@ -52,13 +56,12 @@ class FakeDeviceEngine(ExecutionEngine):
         self.shots = int(shots)
         self.physical_qubits = list(physical_qubits) if physical_qubits is not None else None
         self.scheduling_policy = scheduling_policy
-        self.transpile_cache_entries = int(transpile_cache_entries)
         #: Simulation kernel of the inner noisy engine (``"dense"`` /
         #: ``"ptm"``; ``None`` defers to ``REPRO_ENGINE_KERNEL``) — see
         #: :class:`NoisyDensityMatrixEngine` and ``docs/ptm.md``.
         self._noisy = NoisyDensityMatrixEngine(self.noise_model, seed=seed, kernel=kernel)
         self.kernel = self._noisy.kernel
-        self._transpiled = _LRUCache(transpile_cache_entries)
+        self._transpiled = LRUCache(TRANSPILE_CACHE_ENTRIES)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -92,9 +95,7 @@ class FakeDeviceEngine(ExecutionEngine):
             physical_qubits=self.physical_qubits,
             scheduling_policy=self.scheduling_policy,
         )
-        with self._lock:
-            self._transpiled.put(key, result)
-        return result
+        return self._transpiled.put(key, result)
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit) -> EngineResult:
@@ -223,9 +224,11 @@ class FakeDeviceEngine(ExecutionEngine):
 
     def clear_caches(self) -> None:
         """Drop the transpilation cache and the inner engine's caches."""
-        with self._lock:
-            self._transpiled.clear()
+        self._transpiled.clear()
         self._noisy.clear_caches()
+
+    def cache_report(self) -> Dict[str, Dict[str, int]]:
+        return {"transpiled": self._transpiled.as_dict(), **self._noisy.cache_report()}
 
     def reset_stats(self) -> None:
         """Zero both this engine's and the inner noisy engine's counters."""

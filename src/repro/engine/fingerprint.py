@@ -214,32 +214,6 @@ def schedule_fingerprint(scheduled: "ScheduledCircuit") -> str:
 
 
 # ----------------------------------------------------------------------------
-# Raw array content
-# ----------------------------------------------------------------------------
-
-def array_content_key(*arrays) -> str:
-    """Digest of the exact contents of one or more numpy arrays.
-
-    Keys caches of *derived* numerical objects (e.g. the PTM compiled from a
-    Kraus set) on the bytes of their inputs: two channels built independently
-    but with identical operator entries share one cache line, and any change
-    in values, dtype or shape misses.  Arrays are digested in C order.
-    """
-    import numpy as np
-
-    hasher = hashlib.blake2b(digest_size=16)
-    for array in arrays:
-        contiguous = np.ascontiguousarray(array)
-        hasher.update(str(contiguous.dtype).encode("utf-8"))
-        hasher.update(_SEP)
-        hasher.update(repr(contiguous.shape).encode("utf-8"))
-        hasher.update(_SEP)
-        hasher.update(contiguous.tobytes())
-        hasher.update(_SEP)
-    return hasher.hexdigest()
-
-
-# ----------------------------------------------------------------------------
 # Observables and mitigators
 # ----------------------------------------------------------------------------
 

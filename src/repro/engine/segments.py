@@ -66,13 +66,13 @@ distinct key is missed exactly once, however threads interleave.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..cache import LRUCache
 from .fingerprint import _digest, timed_instruction_token
 
 __all__ = [
-    "SEGMENT_CACHE_ENTRIES",
+    "SEGMENT_CACHE_BYTES",
     "SegmentCache",
     "SegmentRecord",
     "SegmentRuntime",
@@ -140,8 +140,8 @@ def schedule_segment_keys(
     return keys
 
 
-#: Entry bound of an engine's segment cache.
-SEGMENT_CACHE_ENTRIES = 65536
+#: Byte budget of an engine's segment records (sized by their PTMs' bytes).
+SEGMENT_CACHE_BYTES = 64 << 20
 
 
 class SegmentRecord:
@@ -177,31 +177,27 @@ class _Claim:
 
 
 class SegmentCache:
-    """Content-keyed LRU of :class:`SegmentRecord` with single-flight misses.
+    """Content-keyed :class:`SegmentRecord` store with single-flight misses.
 
-    ``acquire`` returns ``(record, None)`` on a hit and ``(None, claim)``
-    when the caller must compute the segment; a thread racing an in-flight
-    computation blocks until the record lands (or the computation is
-    abandoned) and then retries.  The claimant must call :meth:`fulfil` on
-    success or :meth:`abandon` on failure — never neither.
+    The records live in :attr:`records`, an :class:`~repro.cache.LRUCache`
+    sized by the bytes of each record's PTMs.  ``acquire`` returns
+    ``(record, None)`` on a hit and ``(None, claim)`` when the caller must
+    compute the segment; a thread racing an in-flight computation blocks
+    until the record lands (or the computation is abandoned) and then
+    retries.  The claimant must call :meth:`fulfil` on success or
+    :meth:`abandon` on failure — never neither.
     """
 
-    def __init__(self, max_entries: int = SEGMENT_CACHE_ENTRIES):
-        self.max_entries = max(1, int(max_entries))
+    def __init__(self):
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, SegmentRecord]" = OrderedDict()
+        self.records = LRUCache(SEGMENT_CACHE_BYTES)
         self._inflight: Dict[str, _Claim] = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
     def acquire(self, key: str) -> Tuple[Optional[SegmentRecord], Optional[_Claim]]:
         while True:
             with self._lock:
-                record = self._entries.get(key)
+                record = self.records.get(key)
                 if record is not None:
-                    self._entries.move_to_end(key)
                     return record, None
                 claim = self._inflight.get(key)
                 if claim is None:
@@ -223,10 +219,7 @@ class SegmentCache:
     ) -> SegmentRecord:
         record = SegmentRecord(ops, last_time, instructions)
         with self._lock:
-            self._entries[key] = record
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self.records.put(key, record, sum(ptm.nbytes for ptm, _, _ in ops))
             self._inflight.pop(key, None)
         claim.event.set()
         return record
@@ -237,10 +230,6 @@ class SegmentCache:
         with self._lock:
             self._inflight.pop(key, None)
         claim.event.set()
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 class SegmentRuntime:

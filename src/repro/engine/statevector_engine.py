@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..cache import LRUCache
 from ..circuits.circuit import QuantumCircuit
 from ..operators.pauli import PauliSum
 from ..simulators.readout import probabilities_to_counts
@@ -22,8 +23,13 @@ from ..simulators.statevector import (
     measured_distribution_from_probabilities,
 )
 from .base import EngineResult, ExecutionEngine
-from .density_engine import _LRUCache
 from .fingerprint import circuit_fingerprint, circuit_hash_chain, observable_fingerprint
+
+#: Byte budget of the evolved statevectors (sized by each array's bytes).
+STATE_CACHE_BYTES = 16 << 20
+#: Byte budget of the memoised expectation values at 8 bytes per float
+#: (4,096 values).
+EXPECTATION_CACHE_BYTES = 32 << 10
 
 
 class StatevectorEngine(ExecutionEngine):
@@ -37,18 +43,11 @@ class StatevectorEngine(ExecutionEngine):
 
     name = "statevector"
 
-    def __init__(
-        self,
-        seed: Optional[int] = None,
-        state_cache_entries: int = 256,
-        expectation_cache_entries: int = 4096,
-    ):
+    def __init__(self, seed: Optional[int] = None):
         super().__init__(seed=seed)
-        self.state_cache_entries = int(state_cache_entries)
-        self.expectation_cache_entries = int(expectation_cache_entries)
         self._simulator = StatevectorSimulator()
-        self._states = _LRUCache(state_cache_entries)
-        self._expectations = _LRUCache(expectation_cache_entries)
+        self._states = LRUCache(STATE_CACHE_BYTES)
+        self._expectations = LRUCache(EXPECTATION_CACHE_BYTES)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -68,8 +67,8 @@ class StatevectorEngine(ExecutionEngine):
             self.stats.cache_misses += 1
         state = self._simulator.run_statevector(circuit)
         state.flags.writeable = False
+        self._states.put(fingerprint, state, state.nbytes)
         with self._lock:
-            self._states.put(fingerprint, state)
             self.stats.instructions_simulated += len(circuit.instructions)
         return state, fingerprint, False
 
@@ -148,8 +147,7 @@ class StatevectorEngine(ExecutionEngine):
             return cached
         state, _, _ = self._state_for(bare, key[0])
         value = float(observable.expectation_from_statevector(state))
-        with self._lock:
-            self._expectations.put(key, value)
+        self._expectations.put(key, value, 8)
         return value
 
     # ------------------------------------------------------------------
@@ -159,6 +157,8 @@ class StatevectorEngine(ExecutionEngine):
     # ------------------------------------------------------------------
     def clear_caches(self) -> None:
         """Drop the cached statevectors and memoised expectation values."""
-        with self._lock:
-            self._states.clear()
-            self._expectations.clear()
+        self._states.clear()
+        self._expectations.clear()
+
+    def cache_report(self) -> Dict[str, Dict[str, int]]:
+        return {"states": self._states.as_dict(), "expectations": self._expectations.as_dict()}

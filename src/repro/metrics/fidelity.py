@@ -8,7 +8,7 @@ experiments report energies.  Both metric families live here.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 

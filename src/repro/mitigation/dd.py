@@ -17,7 +17,7 @@ between pulses), matching the paper's configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..circuits.gates import Gate
 from ..exceptions import MitigationError

@@ -13,7 +13,7 @@ because the underlying readout error model is uncorrelated.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

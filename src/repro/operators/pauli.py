@@ -12,8 +12,7 @@ weighted sum of Pauli strings.  This module provides:
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 

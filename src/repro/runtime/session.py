@@ -15,14 +15,13 @@ hardware so that the Fig. 15 execution-time breakdown can be reproduced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import RuntimeSessionError
 from ..optimizers.base import OptimizationResult, Optimizer
-from ..optimizers.spsa import SPSA
 
 
 @dataclass

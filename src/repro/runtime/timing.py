@@ -10,7 +10,7 @@ of objective evaluations, circuit duration, window count and sweep budget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..exceptions import ReproError

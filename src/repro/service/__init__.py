@@ -20,7 +20,7 @@ from .client import ServiceClient
 from .metrics import REJECTION_KINDS, ServiceMetrics, TenantMetrics
 from .protocol import OPERATIONS, SERVICE_PROTOCOL, parse_envelope, raise_for_error
 from .server import EngineServer, EngineService
-from .store import ResultStore, store_key
+from .store import store_key
 
 __all__ = [
     "AdmissionController",
@@ -28,7 +28,6 @@ __all__ = [
     "EngineService",
     "OPERATIONS",
     "REJECTION_KINDS",
-    "ResultStore",
     "SERVICE_PROTOCOL",
     "ServiceClient",
     "ServiceConfig",

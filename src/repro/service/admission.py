@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..exceptions import QueueDepthError, RateLimitError
 from ..frontend import ResourceLimits
@@ -62,8 +62,6 @@ class ServiceConfig:
     max_body_bytes: int = 4 << 20
     #: ``retry_after`` hint for queue-depth and shutdown rejections, seconds.
     queue_retry_after: float = 0.1
-    #: Entry bound of the fleet-wide content-addressed result store.
-    store_entries: int = 4096
     #: Per-tenant latency samples kept for the p50/p99 metrics.
     latency_samples: int = 1024
     clock: Callable[[], float] = time.monotonic

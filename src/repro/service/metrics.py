@@ -77,6 +77,20 @@ class ServiceMetrics:
             self._tenants[name] = metrics
         return metrics
 
+    def store_snapshot(self, store) -> Dict[str, float]:
+        """The fleet store's section of the metrics payload: its
+        :meth:`~repro.cache.LRUCache.as_dict` plus the lookups the tenants
+        counted (a ``None`` key, an uncacheable program, is a miss)."""
+        hits = sum(metrics.dedupe_hits for metrics in self._tenants.values())
+        misses = sum(metrics.store_misses for metrics in self._tenants.values())
+        total = hits + misses
+        return {
+            **store.as_dict(),
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": hits / total if total else 0.0,
+        }
+
     def snapshot(self, queue_depth_of) -> Dict[str, Dict]:
         """The per-tenant section of the metrics payload.
 

@@ -46,6 +46,7 @@ import math
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cache import LRUCache
 from ..engine.base import ExecutionEngine
 from ..engine.fingerprint import observable_fingerprint
 from ..exceptions import (
@@ -70,7 +71,7 @@ from .protocol import (
     serialize_run_result,
     success_payload,
 )
-from .store import ResultStore, store_key
+from .store import store_key
 
 _REASONS = {
     200: "OK",
@@ -83,6 +84,9 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+#: Entry bound of the fleet-wide result store.
+STORE_ENTRIES = 4096
 
 #: Header-section byte bound; a client streaming junk instead of headers is
 #: cut off here rather than buffered without limit.
@@ -138,7 +142,9 @@ class EngineService:
         self.engine = engine
         self.config = config or ServiceConfig()
         self.admission = AdmissionController(self.config, engine.max_pending_batches)
-        self.store = ResultStore(self.config.store_entries)
+        #: The fleet-wide result store: content key -> the serialized
+        #: response payload of the miss that filled it, one entry each.
+        self.store = LRUCache(STORE_ENTRIES)
         self.metrics = ServiceMetrics(self.config.latency_samples)
         self._closing = False
         self._started = self.config.clock()
@@ -324,7 +330,8 @@ class EngineService:
                     serialized = serialize_run_result(values[index])
                 else:
                     serialized = serialize_expectation_result(values[index])
-                self.store.put(prepared[index][4], serialized)
+                if prepared[index][4] is not None:
+                    self.store.put(prepared[index][4], serialized)
                 served = dict(serialized)
                 served["store"] = "miss"
                 results[index] = served
@@ -361,8 +368,9 @@ class EngineService:
                 "in_flight": self.admission.in_flight,
                 "disconnects": self.metrics.disconnects,
                 "protocol_errors": self.metrics.protocol_errors,
-                "store": self.store.as_dict(),
+                "store": self.metrics.store_snapshot(self.store),
                 "engine_stats": self.engine.stats.as_dict(),
+                "engine_caches": self.engine.cache_report(),
             },
         }
 

@@ -18,13 +18,12 @@ Two flavours reproduce the paper's distinction between "noisy simulation" and
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..backends.device import DeviceModel
-from ..exceptions import NoiseModelError
+from ..cache import LRUCache
 from . import channels
 from .contraction import qubit_plan
 
@@ -87,6 +86,21 @@ class ChannelOp:
         return op
 
 
+#: Byte budget of a noise model's channel memo (see :func:`_held_nbytes`).
+CHANNEL_CACHE_BYTES = 32 << 20
+
+
+def _held_nbytes(ops: List[ChannelOp]) -> int:
+    """Bytes of the arrays the channels hold now; builds nothing."""
+    total = 0
+    for op in ops:
+        if op._superop is not None:
+            total += op._superop.nbytes
+        for kraus in op._kraus or ():
+            total += kraus.nbytes
+    return total
+
+
 class NoiseModel:
     """Schedule-aware noise description consumed by the noisy simulator."""
 
@@ -110,23 +124,21 @@ class NoiseModel:
         #: slowly drifting detuning (lets repeated circuit executions sample
         #: different points of the drift waveform).
         self.time_offset_ns = float(time_offset_ns)
-        # Channel construction is pure in (device calibration, flags, times),
-        # and schedule-aware simulation requests the same channels thousands
-        # of times (every candidate schedule shares most of its gates and idle
-        # gaps with every other candidate), so built channels are memoised.
-        # The flags and time offset participate in every key, which keeps the
-        # cache correct if they are toggled after construction.
-        self._channel_cache: dict = {}
-
-    _CHANNEL_CACHE_MAX = 32768
+        #: Channel construction is pure in (device calibration, flags, times),
+        #: and schedule-aware simulation requests the same channels thousands
+        #: of times (every candidate schedule shares most of its gates and
+        #: idle gaps with every other candidate), so built channels are
+        #: memoised, sized by the Kraus operators and superoperators they
+        #: hold when stored.  The flags and time offset participate in every
+        #: key, which keeps the memo correct if they are toggled after
+        #: construction.
+        self.channel_cache = LRUCache(CHANNEL_CACHE_BYTES)
 
     def _cached_channels(self, key, builder) -> List[ChannelOp]:
-        cached = self._channel_cache.get(key)
+        cached = self.channel_cache.get(key)
         if cached is None:
-            if len(self._channel_cache) >= self._CHANNEL_CACHE_MAX:
-                self._channel_cache.clear()
             cached = builder()
-            self._channel_cache[key] = cached
+            cached = self.channel_cache.put(key, cached, _held_nbytes(cached))
         return cached
 
     def invalidate_channel_cache(self) -> None:
@@ -136,7 +148,7 @@ class NoiseModel:
         result caches keyed on the old calibration miss instead of serving
         pre-mutation states.
         """
-        self._channel_cache.clear()
+        self.channel_cache.clear()
         from ..engine.fingerprint import invalidate_device_fingerprint
 
         invalidate_device_fingerprint(self.device)

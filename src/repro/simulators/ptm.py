@@ -20,8 +20,9 @@ The module provides:
 
 * :func:`pauli_basis` — the (unnormalised) n-qubit Pauli operator basis,
 * :func:`superop_to_ptm` (with :func:`unitary_to_ptm` / :func:`kraus_to_ptm`
-  through it) — PTM compilation, with content-keyed LRU-cached fronts
-  :func:`unitary_ptm` / :func:`channel_ptm`,
+  through it) — PTM compilation, with the memoised fronts
+  :func:`unitary_ptm` (per matrix content) and :func:`channel_ptm` (per
+  channel object),
 * :class:`PauliVectorState` — one state *or a batch* as a ``(batch, 4**n)``
   real array, with probability/marginal semantics matching
   :class:`~repro.simulators.density_matrix.DensityMatrix` and direct Pauli
@@ -43,8 +44,6 @@ together is bit-identical to evolving them one at a time.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,7 +95,7 @@ def pauli_basis(num_qubits: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# PTM compilation (with a content-keyed LRU)
+# PTM compilation
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -136,56 +135,27 @@ def unitary_to_ptm(matrix: np.ndarray) -> np.ndarray:
     return kraus_to_ptm([matrix])
 
 
-_PTM_CACHE_CAPACITY = 4096
-_ptm_cache: "OrderedDict[Tuple[str, str], np.ndarray]" = OrderedDict()
-_ptm_lock = threading.Lock()
-
-
-def _content_key(*arrays: np.ndarray) -> str:
-    # Imported lazily: repro.engine imports this package at import time.
-    from ..engine.fingerprint import array_content_key
-
-    return array_content_key(*arrays)
-
-
-def _cached_ptm(key: Tuple[str, str], build) -> np.ndarray:
-    with _ptm_lock:
-        cached = _ptm_cache.get(key)
-        if cached is not None:
-            _ptm_cache.move_to_end(key)
-            return cached
-    ptm = build()
+@lru_cache(maxsize=64)
+def _unitary_ptm(content: bytes, shape: Tuple[int, int]) -> np.ndarray:
+    ptm = unitary_to_ptm(np.frombuffer(content, dtype=complex).reshape(shape).copy())
     ptm.setflags(write=False)
-    with _ptm_lock:
-        existing = _ptm_cache.get(key)
-        if existing is not None:
-            _ptm_cache.move_to_end(key)
-            return existing
-        _ptm_cache[key] = ptm
-        while len(_ptm_cache) > _PTM_CACHE_CAPACITY:
-            _ptm_cache.popitem(last=False)
     return ptm
 
 
 def unitary_ptm(matrix: np.ndarray) -> np.ndarray:
-    """LRU-cached :func:`unitary_to_ptm`, keyed on the matrix's exact content."""
-    return _cached_ptm(("unitary", _content_key(matrix)), lambda: unitary_to_ptm(matrix))
+    """:func:`unitary_to_ptm`, memoised on the matrix's exact content (the
+    returned array is shared: read-only)."""
+    matrix = np.ascontiguousarray(matrix, dtype=complex)
+    return _unitary_ptm(matrix.tobytes(), matrix.shape)
 
 
 def channel_ptm(channel: ChannelOp) -> np.ndarray:
-    """PTM of a channel, compiled from its superoperator and kept on the
-    channel after the first call.
-
-    The first call looks it up in the LRU cache keyed on the superoperator's
-    content, so two channels built independently but with identical entries
-    (the common case: the noise model memoises channels per qubit/duration,
-    and many qubits share calibration values) compile once; later calls on
-    the same channel skip hashing it.
-    """
+    """PTM of a channel, compiled from its superoperator on the first call
+    and kept on the channel (read-only) for every later one."""
     if channel._ptm is None:
-        superop = channel.superop
-        key = ("superop", _content_key(superop))
-        channel._ptm = _cached_ptm(key, lambda: superop_to_ptm(superop))
+        ptm = superop_to_ptm(channel.superop)
+        ptm.setflags(write=False)
+        channel._ptm = ptm
     return channel._ptm
 
 
@@ -337,8 +307,8 @@ class PauliVectorState:
         self.data = np.ascontiguousarray(plan.apply(ptm, self.data))
 
     def apply_unitary(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        """Apply a unitary gate (compiled to a PTM via the content LRU)."""
-        self.apply_ptm(unitary_ptm(np.asarray(matrix, dtype=complex)), tuple(qubits))
+        """Apply a unitary gate (compiled to a PTM by :func:`unitary_ptm`)."""
+        self.apply_ptm(unitary_ptm(matrix), tuple(qubits))
 
     def apply_superop(self, superop: np.ndarray, qubits: Sequence[int]) -> None:
         """Apply a channel given as a (column-stacking) superoperator.

@@ -8,7 +8,7 @@ measured counts, so both sides share the helpers defined here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

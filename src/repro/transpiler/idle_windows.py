@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..exceptions import TranspilerError
 from .scheduling import ScheduledCircuit, TimedInstruction
 
 

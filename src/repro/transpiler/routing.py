@@ -10,9 +10,9 @@ the active subgraph until they are adjacent, updating the layout as we go.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from ..circuits.circuit import Instruction, QuantumCircuit
+from ..circuits.circuit import QuantumCircuit
 from ..exceptions import TranspilerError
 from .coupling import CouplingMap
 from .layout import Layout

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..exceptions import EngineError, VAQEMError
 from ..mitigation.dd import DDConfig

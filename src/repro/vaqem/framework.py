@@ -32,9 +32,8 @@ from ..engine.parallel import process_map, resolve_parallelism
 from ..exceptions import VAQEMError
 from ..mitigation.dd import uniform_dd
 from ..mitigation.mem import MeasurementMitigator
-from ..operators.pauli import PauliSum
 from ..optimizers.spsa import SPSA
-from ..runtime.session import CircuitTimingModel, RuntimeSession
+from ..runtime.session import RuntimeSession
 from ..simulators.noise_model import NoiseModel
 from ..transpiler.idle_windows import IdleWindow
 from ..transpiler.pipeline import TranspileResult, transpile
@@ -42,7 +41,7 @@ from ..transpiler.scheduling import ScheduledCircuit
 from ..vqe.applications import VQAApplication
 from ..vqe.expectation import ExpectationEstimator
 from ..vqe.vqe import VQE, VQEResult
-from .config import TuningBudget, VAQEMConfig, WindowConfiguration
+from .config import VAQEMConfig
 from .soundness import check_energy_soundness
 from .window_tuner import IndependentWindowTuner, TuningResult
 

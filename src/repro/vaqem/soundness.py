@@ -16,7 +16,7 @@ mis-normalised readout correction) that would otherwise masquerade as
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -9,8 +9,8 @@ Qiskit Runtime (the two chemistry applications) or in simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from ..backends.device import DeviceModel
 from ..backends.fake import fake_casablanca, fake_guadalupe, fake_jakarta, fake_montreal

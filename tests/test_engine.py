@@ -92,8 +92,12 @@ class TestStatevectorEngine:
         assert second.from_cache
         assert np.array_equal(first.state, second.state)
 
-    def test_state_cache_evicts_least_recently_used(self):
-        engine = StatevectorEngine(state_cache_entries=2)
+    def test_state_cache_evicts_least_recently_used(self, monkeypatch):
+        from repro.engine import statevector_engine
+
+        # Room for two one-qubit states.
+        monkeypatch.setattr(statevector_engine, "STATE_CACHE_BYTES", 2 * 32)
+        engine = StatevectorEngine()
         circuits = []
         for angle in (0.1, 0.2, 0.3):
             circuit = QuantumCircuit(1)

@@ -108,6 +108,32 @@ class TestRelaxationMemo:
             assert np.array_equal(rebuilt.superop, lookup(fresh, 3).superop)
 
 
+class TestChannelMemoBound:
+    def test_full_memo_evicts_its_least_recently_used_channel(self, device, monkeypatch):
+        from repro.simulators import noise_model
+
+        def coherent_only():
+            return NoiseModel(
+                device,
+                include_crosstalk=False,
+                include_gate_error=False,
+                include_relaxation=False,
+            )
+
+        probe = coherent_only()
+        probe.idle_channels(0, 0.0, 100.0)
+        entry_size = probe.channel_cache.as_dict()["size"]
+        monkeypatch.setattr(noise_model, "CHANNEL_CACHE_BYTES", 2 * entry_size)
+        model = coherent_only()
+        first = model.idle_channels(0, 0.0, 100.0)
+        second = model.idle_channels(0, 0.0, 200.0)
+        assert model.idle_channels(0, 0.0, 100.0) is first  # used just before
+        model.idle_channels(0, 0.0, 300.0)  # full: the least recently used goes
+        assert model.idle_channels(0, 0.0, 100.0) is first
+        assert model.idle_channels(0, 0.0, 200.0) is not second
+        assert model.channel_cache.as_dict()["evictions"] == 2
+
+
 class TestGateChannels:
     def test_virtual_gates_are_noiseless(self, device_noise):
         assert device_noise.gate_channels("rz", [0]) == []

@@ -299,7 +299,6 @@ class TestNoisyEngineParity:
         assert parent.stats == serial.stats
         parent.stats.add_counters(counters)
         assert parent.stats.executions == 2 * serial.stats.executions
-        assert parent.stats.batch_width == serial.stats.batch_width
         serial.close()
         parent.close()
 

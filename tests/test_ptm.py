@@ -186,21 +186,21 @@ class TestPtmCompilation:
     def test_channel_ptm_is_kept_on_the_channel(self, monkeypatch, device_noise):
         from repro.simulators import ptm as ptm_module
 
-        hashed = []
-        content_key = ptm_module._content_key
+        compiled = []
+        superop_to_ptm = ptm_module.superop_to_ptm
 
-        def counting(*arrays):
-            hashed.append(len(arrays))
-            return content_key(*arrays)
+        def counting(superop):
+            compiled.append(superop.shape)
+            return superop_to_ptm(superop)
 
-        monkeypatch.setattr(ptm_module, "_content_key", counting)
+        monkeypatch.setattr(ptm_module, "superop_to_ptm", counting)
         channel = device_noise.gate_channels("cx", [0, 1])[-1]
         channel._ptm = None
         first = channel_ptm(channel)
         second = channel_ptm(channel)
         assert second is first
-        assert len(hashed) == 1
-        # The first call still goes through the content-keyed cache.
+        assert len(compiled) == 1
+        assert not first.flags.writeable
         assert np.array_equal(first, kraus_to_ptm(channel.kraus))
 
     def test_pauli_basis_validates(self):

@@ -11,12 +11,11 @@ claims:
 * dense and PTM engines agree on expectations, probabilities and
   density matrices to ``<= 1e-9`` on every schedule;
 * PTM results are identical here and on a fresh engine in a process-map
-  worker, and the batched measurement fast path equals sequential per-item
-  calls bit for bit;
+  worker;
 * a warm PTM engine resuming from checkpoints is bit-identical to a cold
   one (fusion never crosses the stride grid, and the engine aligns its
   checkpoint depths to it);
-* the fusion/batch counters are a pure function of the submitted work;
+* the fusion counters are a pure function of the submitted work;
 * the kernel is part of the noise key: caches never serve one kernel's
   state to the other.
 """
@@ -123,21 +122,6 @@ class TestPtmTierExactness:
         for a, b in zip(values["serial"], dense_values):
             assert abs(a - b) <= ATOL
 
-    def test_batched_fast_path_equals_sequential(self, device, noise, observable):
-        """The serial tier's stacked-measurement fast path must be value-
-        identical to per-item calls — bit for bit, not just close."""
-        schedules = [
-            randomized.random_schedule(seed, device=device) for seed in TIER_SEEDS[:6]
-        ]
-        batched_engine = NoisyDensityMatrixEngine(noise, seed=11, kernel="ptm")
-        batched = batched_engine.expectation_batch(schedules, observable)
-        sequential_engine = NoisyDensityMatrixEngine(noise, seed=11, kernel="ptm")
-        sequential = [
-            sequential_engine.expectation(item, observable) for item in schedules
-        ]
-        assert batched == sequential
-        assert batched_engine.stats.batch_width >= 2
-
     def test_sampled_expectations_identical_across_tiers(self, device, noise, observable):
         schedules = [
             randomized.random_schedule(seed, device=device)
@@ -209,21 +193,13 @@ class TestCounterDeterminism:
             engine = NoisyDensityMatrixEngine(noise, seed=11, kernel="ptm")
             engine.expectation_batch(schedules, observable)
             snapshot = engine.stats.as_dict()
-            return (
-                snapshot["ptm_matmuls"],
-                snapshot["instructions_fused"],
-                snapshot["batch_width"],
-            )
+            return snapshot["ptm_matmuls"], snapshot["instructions_fused"]
 
         first = stats_after_batch()
         second = stats_after_batch()
         assert first == second
-        matmuls, fused, batch_width = first
+        matmuls, fused = first
         assert matmuls > 0 and fused > 0
-        # The fast path stacks per (size, measured-positions) bucket, so the
-        # high-water mark is at least 2 (some schedules share a bucket) and at
-        # most the batch size.
-        assert 2 <= batch_width <= len(schedules)
 
     def test_resume_never_double_counts(self, device, noise):
         """Warm and cold engines report identical kernel counts for the same
@@ -252,7 +228,6 @@ class TestCounterDeterminism:
         engine.expectation_batch(schedules, observable)
         assert engine.stats.ptm_matmuls == 0
         assert engine.stats.instructions_fused == 0
-        assert engine.stats.batch_width == 0
 
 
 class TestKernelIsolation:

@@ -375,7 +375,7 @@ class TestSegmentCache:
         thread.start()
         thread.join(timeout=0.2)
         assert thread.is_alive(), "racer should block on the in-flight claim"
-        fulfilled = cache.fulfil("key", claim, (("unitary", None, (0,)),), (), 1)
+        fulfilled = cache.fulfil("key", claim, ((np.eye(4), (0,), 0),), (), 1)
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert outcome["result"] == (fulfilled, None)
@@ -397,19 +397,6 @@ class TestSegmentCache:
         record, new_claim = outcome["result"]
         assert record is None and new_claim is not None
         cache.abandon("key", new_claim)
-
-    def test_lru_evicts_oldest_entry(self):
-        cache = SegmentCache(max_entries=2)
-        for key in ("a", "b", "c"):
-            _, claim = cache.acquire(key)
-            cache.fulfil(key, claim, (), (), 1)
-        assert len(cache) == 2
-        record, claim = cache.acquire("a")
-        assert record is None, "oldest entry should have been evicted"
-        cache.abandon("a", claim)
-        for key in ("b", "c"):
-            record, _ = cache.acquire(key)
-            assert record is not None
 
 
 # ----------------------------------------------------------------------------
@@ -452,8 +439,8 @@ class TestEngineSegmentReuse:
         try:
             _, _, scheduled = families[0][0]
             engine.run(scheduled)
-            assert len(engine._segments) > 0
+            assert engine.cache_report()["segments"]["entries"] > 0
             engine.clear_caches()
-            assert len(engine._segments) == 0
+            assert engine.cache_report()["segments"]["entries"] == 0
         finally:
             engine.close()

@@ -2,8 +2,8 @@
 
 Four layers:
 
-* **Unit** — token bucket and admission gates under an injected clock, the
-  LRU result store, envelope validation, error payload round-trips.
+* **Unit** — token bucket and admission gates under an injected clock,
+  envelope validation, error payload round-trips.
 * **Parity** — results served over HTTP (including cross-tenant dedupe hits
   from the fleet store) are bit-identical to a direct in-process
   ``run``/``expectation`` on an identically-configured engine, pinned on
@@ -39,7 +39,6 @@ from repro.operators import PauliSum
 from repro.service import (
     AdmissionController,
     EngineServer,
-    ResultStore,
     ServiceClient,
     ServiceConfig,
     TenantPolicy,
@@ -159,29 +158,8 @@ class TestAdmission:
 
 
 # ----------------------------------------------------------------------------
-# Unit: result store, metrics helpers, protocol validation
+# Unit: metrics helpers, protocol validation
 # ----------------------------------------------------------------------------
-
-class TestStore:
-    def test_lru_eviction_and_counters(self):
-        store = ResultStore(max_entries=2)
-        assert store.get("a") is None
-        store.put("a", {"v": 1})
-        store.put("b", {"v": 2})
-        assert store.get("a") == {"v": 1}  # refreshes a
-        store.put("c", {"v": 3})  # evicts b (least recently used)
-        assert store.get("b") is None
-        assert store.get("a") == {"v": 1}
-        assert store.get("c") == {"v": 3}
-        assert (store.hits, store.misses) == (3, 2)
-        assert store.hit_rate == pytest.approx(3 / 5)
-
-    def test_none_key_is_uncacheable(self):
-        store = ResultStore()
-        store.put(None, {"v": 1})
-        assert store.get(None) is None
-        assert len(store) == 0
-
 
 def test_percentile_nearest_rank():
     samples = sorted([0.1, 0.2, 0.3, 0.4])
@@ -322,6 +300,29 @@ class TestParity:
         from_schedule = client.run(transpile(circuit, device).scheduled)
         assert from_circuit["probabilities"]
         assert from_schedule["probabilities"]
+
+    def test_metrics_report_every_engine_cache(self, parity_server, kernel):
+        client = ServiceClient(parity_server.host, parity_server.port, tenant="frank")
+        client.run(BELL_DOC)
+        reported = client.metrics()["fleet"]["engine_caches"]
+        expected = {"results", "snapshots", "expectations", "channels"}
+        if kernel == "ptm":
+            expected.add("segments")
+        assert set(reported) == expected
+        assert reported == parity_server.service.engine.cache_report()
+        assert reported["results"]["entries"] >= 1
+
+    def test_none_key_is_uncacheable(self, device_noise):
+        """An unseeded engine's sampled expectation has no store key: every
+        lookup is a miss and nothing is stored."""
+        engine = NoisyDensityMatrixEngine(device_noise)
+        terms = [["ZZ", 1.0]]
+        with EngineServer(engine, own_engine=True) as server:
+            client = ServiceClient(server.host, server.port, tenant="gina")
+            client.expectation(BELL_DOC, terms, shots=64)
+            client.expectation(BELL_DOC, terms, shots=64)
+            store = client.metrics()["fleet"]["store"]
+        assert (store["hits"], store["misses"], store["entries"]) == (0, 2, 0)
 
     def test_metrics_counters_are_consistent(self, parity_server):
         metrics = ServiceClient(

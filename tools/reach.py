@@ -14,7 +14,7 @@ checkout ``DIR`` (default: this repository) and reports the functions of
 * the four ``examples/``;
 * ``tools/load_gen.py --smoke``;
 * ``benchmarks/run_all.py``, writing its JSON to a temporary directory;
-* pytest on the four figure files that assert the paper's results;
+* pytest on the eleven figure files that assert the paper's results;
 * ``tools/run_doc_snippets.py``.
 
 The hook is a generated ``sitecustomize.py`` on ``PYTHONPATH``: it sets
@@ -56,9 +56,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 ENTRY_TIMEOUT_S = 1200
 
 FIGURE_TESTS = (
+    "benchmarks/bench_fig03_surface.py",
+    "benchmarks/bench_fig05_dd_sweep.py",
+    "benchmarks/bench_fig06_gate_position.py",
+    "benchmarks/bench_fig08_angle_tuning.py",
+    "benchmarks/bench_fig09_sim_vs_machine.py",
     "benchmarks/bench_fig12_improvements.py",
     "benchmarks/bench_fig13_rel_optimal.py",
     "benchmarks/bench_fig14_window_configs.py",
+    "benchmarks/bench_fig15_execution_time.py",
+    "benchmarks/bench_fig16_temporal_variability.py",
     "benchmarks/bench_table1_characteristics.py",
 )
 
